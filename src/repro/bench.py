@@ -18,10 +18,11 @@ to absorb scheduler noise.
 from __future__ import annotations
 
 import json
-import resource
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.obs import current_rss_kb, peak_rss_kb
 
 #: Bump when the BENCH_recon.json layout changes shape.
 #: v2: workloads return extras (population memory line items) and the
@@ -40,37 +41,6 @@ _READABLE_SCHEMAS = frozenset({"repro-bench/1", "repro-bench/2", BENCH_SCHEMA})
 DEFAULT_THRESHOLD = 0.25
 
 _BENCH_SEED = 1729
-
-
-def _peak_rss_kb() -> int:
-    """Process peak RSS in KiB (monotonic high-water mark)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak //= 1024
-    return int(peak)
-
-
-def _current_rss_kb() -> int:
-    """Instantaneous RSS in KiB; deltas around a build step measure the
-    population's resident footprint (the peak counter never goes down)."""
-    try:
-        with open("/proc/self/statm", "r", encoding="ascii") as stream:
-            rss_pages = int(stream.read().split()[1])
-        return rss_pages * (resource.getpagesize() // 1024)
-    except (OSError, ValueError, IndexError):  # non-Linux fallback
-        return _peak_rss_kb()
-
-
-# Public names for the RSS helpers: the telemetry emitter
-# (repro.obs.telemetry) samples process memory through these.
-def peak_rss_kb() -> int:
-    """Process peak RSS in KiB (monotonic high-water mark)."""
-    return _peak_rss_kb()
-
-
-def current_rss_kb() -> int:
-    """Instantaneous process RSS in KiB."""
-    return _current_rss_kb()
 
 
 # -- workloads -------------------------------------------------------------
@@ -95,14 +65,14 @@ def _workload_crawl(quick: bool) -> Dict[str, Any]:
     from repro.workloads.population import zeus_config
     from repro.workloads.scenarios import build_zeus_scenario
 
-    rss_before = _current_rss_kb()
+    rss_before = current_rss_kb()
     with runtime.profiler().section("build", "crawl.scenario"):
         scenario = build_zeus_scenario(
             zeus_config("tiny", master_seed=_BENCH_SEED),
             sensor_count=8,
             announce_hours=1.0,
         )
-    population_rss_kb = max(0, _current_rss_kb() - rss_before)
+    population_rss_kb = max(0, current_rss_kb() - rss_before)
     crawler = ZeusCrawler(
         name="bench-crawler",
         endpoint=Endpoint(parse_ip("99.0.0.1"), 7000),
@@ -128,14 +98,14 @@ def _workload_detect(quick: bool) -> Dict[str, Any]:
     from repro.workloads.population import zeus_config
     from repro.workloads.scenarios import build_zeus_scenario, launch_zeus_fleet
 
-    rss_before = _current_rss_kb()
+    rss_before = current_rss_kb()
     with runtime.profiler().section("build", "detect.scenario"):
         scenario = build_zeus_scenario(
             zeus_config("tiny", master_seed=_BENCH_SEED),
             sensor_count=12,
             announce_hours=1.0,
         )
-    population_rss_kb = max(0, _current_rss_kb() - rss_before)
+    population_rss_kb = max(0, current_rss_kb() - rss_before)
     launch_zeus_fleet(scenario, ZEUS_CRAWLERS[:4])
     scenario.run_for((2.0 if quick else 4.0) * HOUR)
     dataset = SensorLogDataset.from_zeus_sensors(
@@ -188,26 +158,22 @@ def _workload_population(quick: bool) -> Dict[str, Any]:
     from repro.sim.clock import HOUR
     from repro.workloads.population import zeus_config
 
-    config = zeus_config(
-        "large", master_seed=_BENCH_SEED, churn=ChurnConfig(), recycle_messages=True
-    )
-    rss_before = _current_rss_kb()
+    config = zeus_config("large", master_seed=_BENCH_SEED, churn=ChurnConfig())
+    rss_before = current_rss_kb()
     with runtime.profiler().section("build", "population.build"):
         net = ZeusNetwork(config)
         net.build()
-    population_rss_kb = max(0, _current_rss_kb() - rss_before)
+    population_rss_kb = max(0, current_rss_kb() - rss_before)
     net.start_all()
     net.run_for((0.5 if quick else 2.0) * HOUR)
-    extras: Dict[str, Any] = {
+    stats = net.state.stats()
+    return {
         "events": net.scheduler.stats().dispatched,
         "population_rss_kb": population_rss_kb,
         "churn_transitions": net.churn.transitions if net.churn is not None else 0,
+        "peer_slots_live": stats["peer_slots_live"],
+        "peer_slots_allocated": stats["peer_slots_allocated"],
     }
-    if net.state is not None:
-        stats = net.state.stats()
-        extras["peer_slots_live"] = stats["peer_slots_live"]
-        extras["peer_slots_allocated"] = stats["peer_slots_allocated"]
-    return extras
 
 
 def _workload_topo(quick: bool) -> Dict[str, Any]:
@@ -230,14 +196,14 @@ def _workload_topo(quick: bool) -> Dict[str, Any]:
     from repro.workloads.population import zeus_config
     from repro.workloads.scenarios import build_zeus_scenario
 
-    rss_before = _current_rss_kb()
+    rss_before = current_rss_kb()
     with runtime.profiler().section("build", "topo.scenario"):
         scenario = build_zeus_scenario(
             zeus_config("tiny", master_seed=_BENCH_SEED, topology=f"synth:{_BENCH_SEED}"),
             sensor_count=8,
             announce_hours=1.0,
         )
-    population_rss_kb = max(0, _current_rss_kb() - rss_before)
+    population_rss_kb = max(0, current_rss_kb() - rss_before)
     crawler = ZeusCrawler(
         name="bench-topo-crawler",
         endpoint=Endpoint(parse_ip("99.0.0.1"), 7000),
@@ -336,7 +302,7 @@ def run_workload(
         "wall_s": round(wall_s, 4),
         "events": events,
         "events_per_s": round(events / wall_s, 1) if wall_s > 0 else 0.0,
-        "peak_rss_kb": _peak_rss_kb(),
+        "peak_rss_kb": peak_rss_kb(),
     }
     entry.update(result)  # memory/occupancy line items
     if best_profiler is not None:

@@ -31,7 +31,11 @@ class PeerEntry:
 
 
 class PeerList:
-    """Capacity-bounded peer list with an optional per-subnet IP filter.
+    """Reference model of a peer list: one ``PeerEntry`` object per peer.
+
+    Nodes run on :class:`repro.botnets.state.SlabPeerList`; this class
+    states the same semantics in the plainest form and is the oracle
+    the slab list is tested against operation by operation.
 
     ``ip_filter_prefix`` implements the deterrence measures of paper
     Table 1: 32 keeps at most one entry per IP (Sality, ZeroAccess,
@@ -78,9 +82,9 @@ class PeerList:
         """(bot_id, endpoint, failures) tuples sorted by last_seen.
 
         The shape bot maintenance cycles consume: a stable sort over
-        insertion order, snapshotted as plain tuples so the slab
-        backend can produce the identical view without materializing
-        entry objects.
+        insertion order, snapshotted as plain tuples so the slab list
+        can produce the identical view without materializing entry
+        objects.
         """
         ordered = sorted(self._entries.values(), key=lambda e: e.last_seen)
         return [(e.bot_id, e.endpoint, e.failures) for e in ordered]
@@ -91,8 +95,7 @@ class PeerList:
 
         Selection semantics are exactly
         :func:`repro.botnets.zeus.protocol.select_closest` over this
-        list's entries; the slab backend overrides this with a
-        column-level implementation."""
+        list's entries; the slab list implements it over its columns."""
         key_int = int.from_bytes(lookup_key, "big")
         from_bytes = int.from_bytes
         pairs = [
@@ -254,7 +257,7 @@ class BotNode:
         self.cycle_jitter = cycle_jitter
         self.counters = BotCounters()
         self._online = False
-        self._state = None  # PopulationState, when adopted (SoA backend)
+        self._state = None  # PopulationState, when built by a population
         self._index = -1
         # Gossip suppression (the "mute" node fault): the node stays
         # bound and keeps answering, but its periodic active behaviour

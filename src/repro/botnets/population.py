@@ -62,14 +62,6 @@ class PopulationConfig:
     # Scheduled transport faults (chaos experiments).  None/empty keeps
     # the plain Transport so healthy runs replay byte-for-byte.
     fault_plan: Optional[FaultPlan] = None
-    # Peer/online storage backend: "soa" keeps hot per-peer scalars in
-    # the shared struct-of-arrays slab (repro.botnets.state); "objects"
-    # keeps one PeerEntry object per peer.  Both behave identically.
-    state_backend: str = "soa"
-    # Reuse delivered Message objects through the transport free list.
-    # Safe for builder-owned populations (no sim handler retains the
-    # Message); handlers bound externally must snapshot what they keep.
-    recycle_messages: bool = True
     # Topology-aware internet layer (repro.topo).  None keeps the flat
     # uniform-latency model and replays byte-identically to older runs;
     # a spec string ("synth:7", "asrel:path.as-rel2") or TopologyConfig
@@ -89,8 +81,6 @@ class PopulationConfig:
             raise ValueError("max_bots_per_gateway must be >= 1")
         if not 0.0 <= self.subnet_hotspot_fraction <= 1.0:
             raise ValueError("subnet_hotspot_fraction must be in [0, 1]")
-        if self.state_backend not in ("soa", "objects"):
-            raise ValueError(f"unknown state_backend: {self.state_backend!r}")
 
 
 class PopulationBuilder:
@@ -118,6 +108,9 @@ class PopulationBuilder:
             latency_model = self.topology.latency_model(
                 self.rngs.stream("topo-jitter")
             )
+        # Delivered Message envelopes are recycled: no sim handler
+        # retains one past its call.  Handlers bound externally must
+        # snapshot what they keep.
         if config.fault_plan is not None and not config.fault_plan.empty:
             # Fault draws come from their own stream so the base
             # transport's draws stay aligned with fault-free runs.
@@ -127,7 +120,7 @@ class PopulationBuilder:
                 plan=config.fault_plan,
                 fault_rng=self.rngs.stream("faults"),
                 config=config.transport,
-                recycle_messages=config.recycle_messages,
+                recycle_messages=True,
                 latency_model=latency_model,
                 topology=self.topology,
             )
@@ -136,12 +129,11 @@ class PopulationBuilder:
                 self.scheduler,
                 self.rngs.stream("transport"),
                 config=config.transport,
-                recycle_messages=config.recycle_messages,
+                recycle_messages=True,
                 latency_model=latency_model,
             )
-        self.state: Optional[PopulationState] = (
-            PopulationState() if config.state_backend == "soa" else None
-        )
+        # Every bot's peer list lives on this state's shared slab.
+        self.state = PopulationState()
         net_rng = self.rngs.stream("addresses")
         self.routable_pool = AddressPool(
             [Subnet.parse(block) for block in config.routable_blocks], net_rng
@@ -162,7 +154,8 @@ class PopulationBuilder:
     # -- family hooks ------------------------------------------------------
 
     def make_bot(self, node_id: str, endpoint: Endpoint, routable: bool, rng: random.Random) -> BotNode:
-        """Construct one (unstarted) bot.  Family-specific."""
+        """Construct one (unstarted) bot whose peer list lives on
+        ``self.state.slab``.  Family-specific."""
         raise NotImplementedError
 
     def bootstrap(self) -> None:
@@ -234,8 +227,7 @@ class PopulationBuilder:
             else:
                 endpoint = self.allocate_nat_endpoint()
             bot = self.make_bot(node_id, endpoint, routable, bot_rng)
-            if self.state is not None:
-                self.state.adopt(bot)
+            self.state.adopt(bot)
             self.bots[node_id] = bot
             self.bots_by_bot_id[bot.bot_id] = bot
         self.bootstrap()

@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.botnets.base import BotNode, PeerEntry, PeerList
+from repro.botnets.base import BotNode, PeerEntry
+from repro.botnets.state import PeerSlab, SlabPeerList
 from repro.botnets.sality import protocol
 from repro.botnets.sality.protocol import Command, SalityDecodeError, SalityMessage
 from repro.net.transport import Endpoint, Message, Transport
@@ -93,6 +94,7 @@ class SalityBot(BotNode):
         rng: random.Random,
         routable: bool = True,
         config: Optional[SalityConfig] = None,
+        peer_slab: Optional[PeerSlab] = None,
     ) -> None:
         self.config = config if config is not None else SalityConfig()
         super().__init__(
@@ -108,9 +110,7 @@ class SalityBot(BotNode):
         if len(bot_id) != 4:
             raise ValueError("Sality bot ids are 4-byte random integers")
         self.int_id = int.from_bytes(bot_id, "big")
-        self.peer_list = PeerList(
-            capacity=self.config.peer_list_capacity, ip_filter_prefix=32
-        )
+        self.peer_list = SlabPeerList(self.config.peer_list_capacity, 32, peer_slab)
         self._pending: Dict[int, _Pending] = {}
         self._plr_history: List[Tuple[float, int]] = []
         self.undecodable = 0

@@ -35,6 +35,7 @@ class SalityNetwork(PopulationBuilder):
             rng=rng,
             routable=routable,
             config=self.sconfig.sality,
+            peer_slab=self.state.slab,
         )
 
     def bootstrap(self) -> None:

@@ -1,26 +1,28 @@
-"""Struct-of-arrays population state.
+"""Struct-of-arrays peer-list storage.
 
 Object-per-peer storage dominates memory once populations reach paper
 scale (Section 5 crawls cover 5k-200k bots, each holding up to 1000
-peer entries).  This module keeps the hot per-peer scalars in flat
-parallel arrays instead:
+peer entries).  Every node's peer list therefore keeps its hot
+per-peer scalars in flat parallel arrays:
 
-* :class:`PeerSlab` -- one population-wide arena of peer-entry columns
-  (id, endpoint, last_seen, failures, goodcount) with a free-slot list,
-  shared by every bot's peer list;
-* :class:`SlabPeerList` -- a drop-in replacement for
-  :class:`repro.botnets.base.PeerList` whose per-bot state is just an
-  insertion-ordered ``{bot_id: slot}`` dict plus a subnet index;
+* :class:`PeerSlab` -- an arena of peer-entry columns (id, endpoint,
+  last_seen, failures, goodcount) with a free-slot list; a population
+  shares one slab across all its bots, a standalone node (sensor, test
+  harness) gets a private one;
+* :class:`SlabPeerList` -- the peer list every bot, sensor and sinkhole
+  runs on; per-node state is just an insertion-ordered
+  ``{bot_id: slot}`` dict plus a subnet index;
 * :class:`SlabPeerEntry` -- a two-word flyweight view over one slot,
   duck-typed like :class:`repro.botnets.base.PeerEntry`;
 * :class:`PopulationState` -- the per-population registry tying node
   indices to an online-flag bytearray and the shared slab.
 
-Behaviour is bit-for-bit identical to the object backend: iteration
-order is dict insertion order, eviction picks the first-encountered
-stalest entry, and the subnet filter keeps at most one entry per
-masked prefix.  ``tests/botnets/test_state_equivalence.py`` checks the
-two backends against each other operation by operation.
+:class:`repro.botnets.base.PeerList` is the object-per-entry reference
+model of the same semantics: iteration order is dict insertion order,
+eviction picks the first-encountered stalest entry, and the subnet
+filter keeps at most one entry per masked prefix.
+``tests/botnets/test_state_properties.py`` checks the two against each
+other operation by operation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.botnets.base import PeerList
 from repro.net.address import subnet_key
 
 
@@ -90,7 +91,12 @@ class PeerSlab:
 
 
 class SlabPeerEntry:
-    """Flyweight view of one slab slot; duck-typed like ``PeerEntry``."""
+    """Flyweight view of one slab slot; duck-typed like ``PeerEntry``.
+
+    A view reads and writes the slot live, so it is valid only until its
+    entry is removed (evicted, removed, or displaced at capacity): the
+    slot is then freed and may be reused by another peer.
+    """
 
     __slots__ = ("_slab", "_slot")
 
@@ -143,24 +149,35 @@ class SlabPeerEntry:
 
 
 class SlabPeerList:
-    """Slab-backed peer list; API- and behaviour-compatible with
-    :class:`repro.botnets.base.PeerList`.
+    """Capacity-bounded peer list with an optional per-subnet IP filter.
 
-    Per-bot state is one insertion-ordered ``{bot_id: slot}`` dict (the
+    ``ip_filter_prefix`` implements the deterrence measures of paper
+    Table 1: 32 keeps at most one entry per IP (Sality, ZeroAccess,
+    Hlux, Waledac), 20 keeps one per /20 subnet (GameOver Zeus), and
+    ``None`` disables the filter (Storm).  Semantics match the
+    reference model :class:`repro.botnets.base.PeerList`.
+
+    Per-node state is one insertion-ordered ``{bot_id: slot}`` dict (the
     iteration-order contract every family relies on) plus the optional
-    ``{subnet_key: slot}`` filter index.
+    ``{subnet_key: slot}`` filter index.  Entries live in ``slab``: the
+    population's shared :class:`PeerSlab`, or a private one when None.
     """
 
     __slots__ = ("capacity", "ip_filter_prefix", "_slab", "_slots", "_subnets")
 
-    def __init__(self, capacity: int, ip_filter_prefix: Optional[int], slab: PeerSlab) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        ip_filter_prefix: Optional[int] = None,
+        slab: Optional[PeerSlab] = None,
+    ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if ip_filter_prefix is not None and not 0 < ip_filter_prefix <= 32:
             raise ValueError(f"bad ip_filter_prefix: {ip_filter_prefix}")
         self.capacity = capacity
         self.ip_filter_prefix = ip_filter_prefix
-        self._slab = slab
+        self._slab = slab if slab is not None else PeerSlab()
         self._slots: Dict[bytes, int] = {}
         self._subnets: Optional[Dict[int, int]] = (
             {} if ip_filter_prefix is not None else None
@@ -176,12 +193,22 @@ class SlabPeerList:
         return iter(self.entries())
 
     def get(self, bot_id: bytes) -> Optional[SlabPeerEntry]:
+        """A live view of ``bot_id``'s entry, or None.
+
+        The view is valid until its entry is removed; read what you
+        need from it before any call that may evict it.
+        """
         slot = self._slots.get(bot_id)
         if slot is None:
             return None
         return SlabPeerEntry(self._slab, slot)
 
     def entries(self) -> List[SlabPeerEntry]:
+        """Live views of every entry, in insertion order.
+
+        The list is a snapshot, but each view is valid only until its
+        entry is removed.
+        """
         slab = self._slab
         return [SlabPeerEntry(slab, slot) for slot in self._slots.values()]
 
@@ -247,7 +274,14 @@ class SlabPeerList:
             self._subnets.pop(subnet_key(ip, self.ip_filter_prefix), None)
 
     def add(self, entry) -> bool:
-        """Insert or refresh; same rules (and tie-breaks) as PeerList."""
+        """Insert or refresh ``entry`` (copied into the slab).
+
+        Returns True if the entry is present afterwards.  Rules, in
+        order: an existing entry with the same bot id is refreshed
+        in-place (address updates follow IP churn); the subnet filter
+        rejects a *different* bot in an occupied subnet; at capacity the
+        stalest entry is evicted iff the newcomer is fresher.
+        """
         slab = self._slab
         bot_id = entry.bot_id
         slot = self._slots.get(bot_id)
@@ -299,6 +333,7 @@ class SlabPeerList:
         return True
 
     def touch(self, bot_id: bytes, now: float) -> None:
+        """Mark a peer responsive: refresh last_seen, clear failures."""
         slot = self._slots.get(bot_id)
         if slot is not None:
             slab = self._slab
@@ -306,6 +341,12 @@ class SlabPeerList:
             slab.failures[slot] = 0
 
     def record_failure(self, bot_id: bytes, evict_after: int) -> bool:
+        """Count an unanswered probe; evict after ``evict_after`` misses.
+
+        Returns True if the peer was evicted.  This is the eviction
+        mechanism that forces sensors to implement enough protocol to
+        keep answering probes (Section 2.2).
+        """
         slot = self._slots.get(bot_id)
         if slot is None:
             return False
@@ -321,7 +362,7 @@ class SlabPeerList:
 
 
 class PopulationState:
-    """SoA registry for one population: node indices, online flags, and
+    """Registry for one population: node indices, online flags, and
     the shared peer slab.
 
     ``online`` mirrors each bot's online flag (bots write through to it
@@ -354,21 +395,11 @@ class PopulationState:
         return sum(self.online)
 
     def adopt(self, bot) -> None:
-        """Attach a freshly built bot to this state.
+        """Register a freshly built bot and mirror its online flag.
 
-        Registers the node and swaps its object-backed ``PeerList`` for
-        a slab-backed one (migrating any pre-seeded entries).
+        The bot was built with its peer list on :attr:`slab`.
         """
-        index = self.register(bot.node_id)
-        bot.attach_state(self, index)
-        peer_list = getattr(bot, "peer_list", None)
-        if isinstance(peer_list, PeerList):
-            replacement = SlabPeerList(
-                peer_list.capacity, peer_list.ip_filter_prefix, self.slab
-            )
-            for entry in peer_list:
-                replacement.add(entry)
-            bot.peer_list = replacement
+        bot.attach_state(self, self.register(bot.node_id))
 
     def stats(self) -> Dict[str, int]:
         """Occupancy numbers for bench memory line items."""

@@ -26,7 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.botnets.base import BotNode, PeerEntry, PeerList
+from repro.botnets.base import BotNode, PeerEntry
+from repro.botnets.state import PeerSlab, SlabPeerList
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import MINUTE
 from repro.sim.scheduler import Scheduler
@@ -105,6 +106,7 @@ class ZeroAccessBot(BotNode):
         rng: random.Random,
         routable: bool = True,
         config: Optional[ZeroAccessConfig] = None,
+        peer_slab: Optional[PeerSlab] = None,
     ) -> None:
         self.config = config if config is not None else ZeroAccessConfig()
         if endpoint.port != FIXED_PORT:
@@ -119,9 +121,7 @@ class ZeroAccessBot(BotNode):
             routable=routable,
             cycle_interval=self.config.cycle_interval,
         )
-        self.peer_list = PeerList(
-            capacity=self.config.peer_list_capacity, ip_filter_prefix=32
-        )
+        self.peer_list = SlabPeerList(self.config.peer_list_capacity, 32, peer_slab)
         self.pushes_received = 0
         self.undecodable = 0
 
@@ -153,8 +153,10 @@ class ZeroAccessBot(BotNode):
         # and cleared by any decodable traffic from the peer.
         stalest = sorted(entries, key=lambda e: e.last_seen)
         for entry in stalest[: self.config.verify_per_cycle]:
+            # Read the endpoint first: eviction frees the entry's slot.
+            endpoint = entry.endpoint
             self.peer_list.record_failure(entry.bot_id, self.config.evict_after_failures)
-            self.send(entry.endpoint, encode_packet(MSG_GETL, self.int_id, []))
+            self.send(endpoint, encode_packet(MSG_GETL, self.int_id, []))
         # Push our freshest entries to random neighbours.
         payload = encode_packet(MSG_PUSH, self.int_id, self._freshest_entries())
         survivors = self.peer_list.entries()

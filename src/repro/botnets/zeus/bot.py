@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.botnets.antirecon import AutoBlacklister, DisinformationPolicy, StaticBlacklist
-from repro.botnets.base import BotNode, PeerEntry, PeerList
+from repro.botnets.base import BotNode, PeerEntry
+from repro.botnets.state import PeerSlab, SlabPeerList
 from repro.botnets.zeus import protocol
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError, ZeusMessage
 from repro.net.transport import Endpoint, Message, Transport
@@ -107,6 +108,7 @@ class ZeusBot(BotNode):
         config: Optional[ZeusConfig] = None,
         static_blacklist: Optional[StaticBlacklist] = None,
         disinformation: Optional[DisinformationPolicy] = None,
+        peer_slab: Optional[PeerSlab] = None,
     ) -> None:
         self.config = config if config is not None else ZeusConfig()
         super().__init__(
@@ -119,9 +121,10 @@ class ZeusBot(BotNode):
             routable=routable,
             cycle_interval=self.config.cycle_interval,
         )
-        self.peer_list = PeerList(
-            capacity=self.config.peer_list_capacity,
-            ip_filter_prefix=self.config.subnet_filter_prefix,
+        self.peer_list = SlabPeerList(
+            self.config.peer_list_capacity,
+            self.config.subnet_filter_prefix,
+            peer_slab,
         )
         self.proxy_list: List[Tuple[bytes, Endpoint]] = []
         self.static_blacklist = static_blacklist if static_blacklist is not None else StaticBlacklist()

@@ -51,6 +51,7 @@ class ZeusNetwork(PopulationBuilder):
             config=self.zconfig.zeus,
             static_blacklist=self.shared_blacklist,
             disinformation=self.zconfig.disinformation,
+            peer_slab=self.state.slab,
         )
 
     def bootstrap(self) -> None:

@@ -25,7 +25,7 @@ from repro.faults.plan import (
     NodeFault,
 )
 from repro.net.nat import RoutabilityTable
-from repro.net.transport import Endpoint, Message, Transport, TransportConfig
+from repro.net.transport import Endpoint, Transport, TransportConfig
 from repro.obs import runtime as obs
 from repro.sim.scheduler import Scheduler
 
@@ -47,8 +47,9 @@ class FaultyTransport(Transport):
 
     Every component keeps talking to a ``Transport``; this subclass
     intercepts the two extension hooks (`_latency`, `_drop_reason`) to
-    inject latency spikes, subnet partitions, and Gilbert-Elliott burst
-    loss on top of the base behaviour.  The plan's duplication and
+    inject latency spikes, subnet and AS partitions, and Gilbert-Elliott
+    burst loss on top of the base behaviour, and re-routes sinkholed
+    prefixes before the base delivery runs.  The plan's duplication and
     reordering rates are folded into the wrapped config, where the base
     transport already implements them.
     """
@@ -165,23 +166,22 @@ class FaultyTransport(Transport):
                     break
         super()._deliver(src, dst, payload, sent_at)
 
-    def _drop_reason(self, message: Message) -> Optional[str]:
-        now = message.delivered_at
+    def _drop_reason(self, src: Endpoint, dst: Endpoint, now: float) -> Optional[str]:
         for partition in self.plan.partitions:
-            if partition.active(now) and partition.separates(message.src.ip, message.dst.ip):
+            if partition.active(now) and partition.separates(src.ip, dst.ip):
                 self.fault_stats.dropped_partition += 1
                 return "partition"
         if self._as_cuts:
             topo = self.topology
-            src_as = topo.as_of(message.src.ip)
-            dst_as = topo.as_of(message.dst.ip)
+            src_as = topo.as_of(src.ip)
+            dst_as = topo.as_of(dst.ip)
             for as_part, cuts in self._as_cuts:
                 if as_part.active(now) and cuts(src_as, dst_as):
                     self.fault_stats.dropped_as_partition += 1
                     label = "unmapped" if dst_as is None else f"AS{dst_as}"
                     self._m_topo_drop.labels(label).inc()
                     return "as_partition"
-        reason = super()._drop_reason(message)
+        reason = super()._drop_reason(src, dst, now)
         if reason is not None:
             return reason
         if self._ge_step():

@@ -182,12 +182,14 @@ class Transport:
         self._recycle = recycle_messages
         self._pool: List[Message] = []
         # Observability: capture the ambient context at construction.
-        # Disabled (the default) leaves falsy/no-op stubs here, so the
+        # Disabled (the default) leaves None/no-op stubs here, so the
         # send/deliver paths pay one branch and no-op calls per event.
-        self._trace = obs.tracer()
-        # The subsystem profiler (when active) wants to know which
-        # delivery tier a message took; the telemetry emitter (when
-        # active) reads path-cache stats off registered transports.
+        tracer = obs.tracer()
+        self._trace = tracer if tracer else None
+        # The subsystem profiler (when active) wants to know whether
+        # a delivery attempt delivered or dropped; the telemetry
+        # emitter (when active) reads path-cache stats off registered
+        # transports.
         profiler = obs.profiler()
         self._profiler = profiler if profiler else None
         telemetry = obs.telemetry()
@@ -202,26 +204,14 @@ class Transport:
         self._refresh_path()
 
     def _refresh_path(self) -> None:
-        """Precompute the deliver-path switches.
+        """Recompute the deliver-path switches after a tap change.
 
-        ``_slow`` is the single falsy check on the deliver path: it is
-        False only when no tap, no drop tap, no tracer, and no
-        fault-injection subclass (one that overrides ``_drop_reason``)
-        is active, in which case ``_deliver`` takes a hook-free fast
-        path.  ``_reuse`` gates the message pool: recycling is safe
-        only when no tap can retain a message.
+        ``_hooked``: some tap or drop tap is attached, so a drop builds
+        a Message for it.  ``_reuse`` gates the message pool: recycling
+        is safe only when no tap can retain a message.
         """
-        hooked = bool(
-            self._taps
-            or self._drop_taps
-            or type(self)._drop_reason is not Transport._drop_reason
-        )
-        self._slow = hooked or bool(self._trace)
-        # ``_lean``: tracing is the *only* active hook.  _deliver then
-        # runs the fast-path drop checks (no Message for drops, no
-        # _drop_reason dispatch, no tap loop) and just emits events.
-        self._lean = not hooked and bool(self._trace)
-        self._reuse = self._recycle and not self._taps and not self._drop_taps
+        self._hooked = bool(self._taps or self._drop_taps)
+        self._reuse = self._recycle and not self._hooked
 
     # -- binding -------------------------------------------------------
 
@@ -340,139 +330,52 @@ class Transport:
             return model.latency(src.ip, dst.ip)
         return self.rng.uniform(self.config.latency_min, self.config.latency_max)
 
-    def _drop_reason(self, message: Message) -> Optional[str]:
+    def _drop_reason(self, src: Endpoint, dst: Endpoint, now: float) -> Optional[str]:
         """Decide a delivery attempt's fate; None means deliver.
 
+        The one place the drop checks live, in their RNG draw order.
         Subclasses (fault injection) extend this with additional drop
         causes; each cause increments its own counter here so stats
         stay consistent with the returned reason.
         """
-        now = message.delivered_at
-        if message.dst.key not in self._handlers:
+        dst_key = dst.key
+        if dst_key not in self._handlers:
             self.stats.dropped_unbound_dst += 1
             return "unbound_dst"
-        if not self.routability.inbound_allowed(message.dst.key, message.src.ip, now):
+        if not self.routability.inbound_allowed(dst_key, src.ip, now):
             self.stats.dropped_unroutable += 1
             return "unroutable"
-        if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
+        loss_rate = self.config.loss_rate
+        if loss_rate and self.rng.random() < loss_rate:
             self.stats.dropped_loss += 1
             return "loss"
         return None
 
     def _deliver(self, src: Endpoint, dst: Endpoint, payload: bytes, sent_at: float) -> None:
         now = self.scheduler.now
-        # Tier tagging for the subsystem profiler: _deliver runs as a
+        reason = self._drop_reason(src, dst, now)
+        # Kind tagging for the subsystem profiler: _deliver runs as a
         # scheduler callback and the scheduler records it *after* it
         # returns, so a note left here labels this dispatch's kind.
         profile = self._profiler
-        if not self._slow:
-            # Fast path: no taps, no tracer, no fault subclass.  The
-            # drop checks mirror _drop_reason exactly (same order, same
-            # RNG draws) without building a Message for drops.
-            stats = self.stats
-            dst_key = dst.key
-            handler = self._handlers.get(dst_key)
-            if handler is None:
-                stats.dropped_unbound_dst += 1
-                self._m_dropped.labels("unbound_dst").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            if not self.routability.inbound_allowed(dst_key, src.ip, now):
-                stats.dropped_unroutable += 1
-                self._m_dropped.labels("unroutable").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            loss_rate = self.config.loss_rate
-            if loss_rate and self.rng.random() < loss_rate:
-                stats.dropped_loss += 1
-                self._m_dropped.labels("loss").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            stats.delivered += 1
-            self._m_delivered.inc()
+        trace = self._trace
+        if reason is not None:
+            self._m_dropped.labels(reason).inc()
             if profile is not None:
-                profile.note("deliver.fast")
-            pool = self._pool
-            if pool:
-                message = pool.pop()
-                message.src = src
-                message.dst = dst
-                message.payload = payload
-                message.sent_at = sent_at
-                message.delivered_at = now
-            else:
-                message = Message(src, dst, payload, sent_at, now)
-            handler(message)
-            if self._reuse and len(pool) < _POOL_MAX:
-                pool.append(message)
+                profile.note("drop")
+            # Only taps ever see a dropped message; build one for them.
+            message = Message(src, dst, payload, sent_at, now) if self._hooked else None
+            for tap in self._taps:
+                tap(message, False)
+            if trace is not None:
+                trace.instant_args(
+                    now, "net", "drop", {"reason": reason, "src": str(src), "dst": str(dst)}
+                )
+            if self._drop_taps:
+                self._notify_drop(message, reason)
             return
-        if self._lean:
-            # Traced fast path: same checks and RNG draws as above, with
-            # trace events emitted in the same order the generic slow
-            # path would (drop/deliver event before the handler runs).
-            trace = self._trace
-            stats = self.stats
-            dst_key = dst.key
-            handler = self._handlers.get(dst_key)
-            if handler is None:
-                stats.dropped_unbound_dst += 1
-                self._m_dropped.labels("unbound_dst").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "unbound_dst", "src": str(src), "dst": str(dst)},
-                )
-                return
-            if not self.routability.inbound_allowed(dst_key, src.ip, now):
-                stats.dropped_unroutable += 1
-                self._m_dropped.labels("unroutable").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "unroutable", "src": str(src), "dst": str(dst)},
-                )
-                return
-            loss_rate = self.config.loss_rate
-            if loss_rate and self.rng.random() < loss_rate:
-                stats.dropped_loss += 1
-                self._m_dropped.labels("loss").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "loss", "src": str(src), "dst": str(dst)},
-                )
-                return
-            stats.delivered += 1
-            self._m_delivered.inc()
-            if profile is not None:
-                profile.note("deliver.lean")
-            trace.instant_args(
-                now, "net", "deliver",
-                {"src": str(src), "dst": str(dst), "latency": round(now - sent_at, 6)},
-            )
-            pool = self._pool
-            if pool:
-                message = pool.pop()
-                message.src = src
-                message.dst = dst
-                message.payload = payload
-                message.sent_at = sent_at
-                message.delivered_at = now
-            else:
-                message = Message(src, dst, payload, sent_at, now)
-            handler(message)
-            if self._reuse and len(pool) < _POOL_MAX:
-                pool.append(message)
-            return
-        reuse = self._reuse
         pool = self._pool
-        if reuse and pool:
+        if pool:
             message = pool.pop()
             message.src = src
             message.dst = dst
@@ -481,27 +384,17 @@ class Transport:
             message.delivered_at = now
         else:
             message = Message(src, dst, payload, sent_at, now)
-        reason = self._drop_reason(message)
-        delivered = reason is None
-        if profile is not None:
-            profile.note("deliver.slow" if delivered else "drop")
         for tap in self._taps:
-            tap(message, delivered)
-        if delivered:
-            self.stats.delivered += 1
-            self._m_delivered.inc()
-            if self._trace:
-                self._trace.instant(
-                    now, "net", "deliver",
-                    src=str(src), dst=str(dst), latency=round(now - sent_at, 6),
-                )
-            self._handlers[dst.key](message)
-        else:
-            self._m_dropped.labels(reason).inc()
-            if self._trace:
-                self._trace.instant(
-                    now, "net", "drop", reason=reason, src=str(src), dst=str(dst)
-                )
-            self._notify_drop(message, reason)
-        if reuse and len(pool) < _POOL_MAX:
+            tap(message, True)
+        self.stats.delivered += 1
+        self._m_delivered.inc()
+        if profile is not None:
+            profile.note("deliver")
+        if trace is not None:
+            trace.instant_args(
+                now, "net", "deliver",
+                {"src": str(src), "dst": str(dst), "latency": round(now - sent_at, 6)},
+            )
+        self._handlers[dst.key](message)
+        if self._reuse and len(pool) < _POOL_MAX:
             pool.append(message)

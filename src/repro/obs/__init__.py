@@ -52,7 +52,9 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     LiveRunView,
     TelemetryEmitter,
+    current_rss_kb,
     iter_telemetry,
+    peak_rss_kb,
     read_telemetry,
     render_fleet,
     render_snapshot,
@@ -83,6 +85,7 @@ __all__ = [
     "collapsed_stacks",
     "COMPLETE",
     "Counter",
+    "current_rss_kb",
     "COUNTER",
     "FlightRecorder",
     "Gauge",
@@ -105,6 +108,7 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "ObsSession",
+    "peak_rss_kb",
     "profile",
     "profile_breakdown",
     "read_jsonl",

@@ -1,8 +1,8 @@
 """Subsystem-attributed wall-time profiling.
 
 The scheduler already exposes a profiling seam (``set_profile``: any
-object with ``record(callback, seconds)``) and the transport's
-delivery tiers know which path a message took.  This package hangs a
+object with ``record(callback, seconds)``) and the transport knows
+whether each delivery attempt delivered or dropped.  This package hangs a
 structured profiler off both: callback cost is aggregated into a site
 tree -- subsystem -> callback site -> event kind, with per-event-kind
 microseconds per event -- and exported as collapsed stacks or

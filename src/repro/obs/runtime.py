@@ -25,7 +25,7 @@ per point, which is what makes per-point metric snapshots shard-safe.
 
 Two further slots follow the same pattern: the subsystem
 :func:`profiler` (schedulers install it on their ``set_profile`` seam
-at construction; transports tag delivery tiers through it) and the
+at construction; transports tag deliveries and drops through it) and the
 :func:`telemetry` emitter (schedulers tick it once per dispatch batch;
 transports register for path-cache stats).  Both default to falsy
 nulls, so simulation code never branches on "is observability on".

@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
+from repro.obs import current_rss_kb, peak_rss_kb
 from repro.runner.dispatch.faultplan import KILL, PARTITION, STALL, HostFault
 from repro.runner.dispatch.wire import WorkUnit
 from repro.runner.executors import _execute_point
@@ -121,8 +122,6 @@ class _LocalHost:
         # Same shape the subprocess hostworker ships back over the
         # wire; RSS is process-wide here because local hosts share one
         # interpreter.
-        from repro.bench import current_rss_kb, peak_rss_kb
-
         return {
             "points_done": self.points_done,
             "rss_kb": current_rss_kb(),

@@ -87,3 +87,26 @@ class TestAddressLayout:
     def test_gateway_occupancy_bounded(self):
         net = build(population=300, routable_fraction=0.2, max_bots_per_gateway=3)
         assert all(1 <= g.occupancy <= 3 for g in net.gateways)
+
+
+class TestPeerStorage:
+    def test_population_bots_share_one_slab(self):
+        net = build()
+        assert all(bot.peer_list._slab is net.state.slab for bot in net.bots.values())
+        assert len(net.state.slab) == sum(len(bot.peer_list) for bot in net.bots.values())
+
+    def test_standalone_node_gets_private_slab(self):
+        from repro.core.sensor import ZeusSensor
+        from repro.net.transport import Endpoint
+
+        net = build()
+        sensor = ZeusSensor(
+            node_id="sensor-0",
+            bot_id=b"\x01" * 20,
+            endpoint=Endpoint(0x2D000001, 4000),
+            transport=net.transport,
+            scheduler=net.scheduler,
+            rng=net.rngs.stream("sensor"),
+        )
+        assert sensor.peer_list._slab is not net.state.slab
+        assert len(sensor.peer_list._slab) == 0

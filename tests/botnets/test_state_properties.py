@@ -1,15 +1,10 @@
-"""Property-based equivalence tests for the struct-of-arrays
-population core.
+"""Property-based tests for the struct-of-arrays peer lists.
 
-The hot-path refactor swapped per-entry objects for slab columns; the
-whole point of the backend switch is that no caller can tell.  Two
-levels of evidence:
-
-* op-level: random operation sequences applied to both peer-list
-  backends produce identical return values and identical views;
-* network-level: a Zeus population built on the ``soa`` backend runs
-  byte-for-byte like one built on the ``objects`` backend, across
-  master seeds.
+Every node runs on :class:`repro.botnets.state.SlabPeerList`; the
+object-per-entry :class:`repro.botnets.base.PeerList` is its reference
+model.  Random operation sequences applied to both produce identical
+return values and identical views, and lists sharing one slab never
+leak into each other.
 
 Plus the scheduler tie-break property the batched dispatch loop must
 preserve: same-timestamp events fire in insertion order, regardless of
@@ -22,11 +17,9 @@ from hypothesis import strategies as st
 
 from repro.botnets.base import PeerEntry, PeerList
 from repro.botnets.state import PeerSlab, SlabPeerList
-from repro.botnets.zeus.network import ZeusNetwork
 from repro.net.transport import Endpoint
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.scheduler import Scheduler
-from repro.workloads.population import zeus_config
 
 # A deliberately tiny id/address space so random sequences hit the
 # interesting collisions: same bot re-added, same subnet contested,
@@ -52,7 +45,7 @@ operations = st.lists(
 
 
 def _apply(peer_list, op):
-    """Run one op against either backend; returns a comparable result."""
+    """Run one op against either peer list; returns a comparable result."""
     kind = op[0]
     if kind == "add":
         _, bot_id, endpoint, last_seen = op
@@ -87,7 +80,8 @@ class TestPeerListBackendEquivalence:
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
     def test_same_ops_same_results(self, prefix, ops):
-        """Both backends agree on every op result and every view."""
+        """Slab list and reference model agree on every op result and
+        every view."""
         objects = PeerList(capacity=6, ip_filter_prefix=prefix)
         slab = SlabPeerList(capacity=6, ip_filter_prefix=prefix, slab=PeerSlab())
         for op in ops:
@@ -109,38 +103,6 @@ class TestPeerListBackendEquivalence:
         for op in ops:
             _apply(active, op)
         assert _snapshot(bystander) == before
-
-
-def _run_fingerprint(master_seed: int, backend: str):
-    """Build + run a tiny Zeus population; return observable totals."""
-    config = zeus_config(
-        "tiny", master_seed=master_seed, state_backend=backend
-    )
-    net = ZeusNetwork(config)
-    net.build()
-    net.start_all()
-    net.run_for(1.0 * HOUR)
-    bots = [
-        (
-            bot.node_id,
-            bot.counters.messages_in,
-            bot.counters.messages_out,
-            bot.counters.cycles,
-            sorted(bot.peer_list.ids()),
-        )
-        for bot in net.bots.values()
-    ]
-    return (net.scheduler.stats().dispatched, net.transport.stats.delivered, bots)
-
-
-class TestNetworkBackendEquivalence:
-    @given(master_seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=3, deadline=None)
-    def test_soa_and_objects_runs_identical(self, master_seed):
-        """A whole population run is indistinguishable across backends."""
-        assert _run_fingerprint(master_seed, "soa") == _run_fingerprint(
-            master_seed, "objects"
-        )
 
 
 class TestSchedulerBatchTieBreak:
