@@ -28,6 +28,7 @@ other operation by operation.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.net.address import subnet_key
@@ -38,16 +39,15 @@ class PeerSlab:
 
     Slots are recycled through a free list, so steady-state churn in
     peer lists allocates no new storage.  Columns grow by appending,
-    i.e. geometrically via list/array over-allocation.
+    i.e. geometrically via list/array over-allocation.  Ids are stored
+    as bytes only: a list that ranks peers by XOR distance keeps its own
+    sorted integer index (:meth:`SlabPeerList.closest`).
     """
 
-    __slots__ = ("ids", "id_ints", "endpoints", "last_seen", "failures", "goodcount", "_free")
+    __slots__ = ("ids", "endpoints", "last_seen", "failures", "goodcount", "_free")
 
     def __init__(self) -> None:
         self.ids: List[bytes] = []
-        # Big-endian integer form of each id, precomputed so XOR-metric
-        # peer selection never re-parses the 20-byte ids.
-        self.id_ints: List[int] = []
         self.endpoints: list = []
         self.last_seen = array("d")
         self.failures = array("i")
@@ -67,7 +67,6 @@ class PeerSlab:
         if free:
             slot = free.pop()
             self.ids[slot] = bot_id
-            self.id_ints[slot] = int.from_bytes(bot_id, "big")
             self.endpoints[slot] = endpoint
             self.last_seen[slot] = last_seen
             self.failures[slot] = failures
@@ -75,7 +74,6 @@ class PeerSlab:
             return slot
         slot = len(self.ids)
         self.ids.append(bot_id)
-        self.id_ints.append(int.from_bytes(bot_id, "big"))
         self.endpoints.append(endpoint)
         self.last_seen.append(last_seen)
         self.failures.append(failures)
@@ -85,7 +83,6 @@ class PeerSlab:
     def release(self, slot: int) -> None:
         # Drop object refs so freed peers do not pin ids/endpoints.
         self.ids[slot] = b""
-        self.id_ints[slot] = 0
         self.endpoints[slot] = None
         self._free.append(slot)
 
@@ -161,9 +158,14 @@ class SlabPeerList:
     iteration-order contract every family relies on) plus the optional
     ``{subnet_key: slot}`` filter index.  Entries live in ``slab``: the
     population's shared :class:`PeerSlab`, or a private one when None.
+    Lists that answer XOR-closest lookups also keep their ids sorted as
+    integers (:meth:`closest`), built on the first lookup.
     """
 
-    __slots__ = ("capacity", "ip_filter_prefix", "_slab", "_slots", "_subnets")
+    __slots__ = (
+        "capacity", "ip_filter_prefix", "_slab", "_slots", "_subnets",
+        "_sorted_ints", "_sorted_slots",
+    )
 
     def __init__(
         self,
@@ -182,6 +184,10 @@ class SlabPeerList:
         self._subnets: Optional[Dict[int, int]] = (
             {} if ip_filter_prefix is not None else None
         )
+        # Id integers in ascending order with their slots alongside;
+        # None until the first closest() call.
+        self._sorted_ints: Optional[List[int]] = None
+        self._sorted_slots: List[int] = []
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -240,22 +246,64 @@ class SlabPeerList:
         ``lookup_key``, excluding ``exclude_id``.
 
         Matches ``PeerList.closest`` / ``protocol.select_closest``
-        exactly; distances come from the slab's precomputed id
-        integers instead of per-call ``int.from_bytes``.
+        exactly.  Ids sharing the key's top bits form one interval of
+        the sorted id integers, and every id inside it is XOR-closer
+        than every id outside; a binary search over the shared-prefix
+        length finds the narrowest such interval holding enough ids, and
+        only that interval is ranked.
         """
-        key_int = int.from_bytes(lookup_key, "big")
+        ints = self._sorted_ints
+        if ints is None:
+            ints = self._build_sorted_index()
+        slots = self._sorted_slots
+        key = int.from_bytes(lookup_key, "big")
+        excluded = self._slots.get(exclude_id)
+        want = limit + (excluded is not None)
+        lo, hi = 0, len(ints)
+        if hi > want:
+            # Smallest shift s whose interval {id : id >> s == key >> s}
+            # holds ``want`` ids; at the largest shift it holds them all.
+            narrow, wide = 0, max(key.bit_length(), ints[-1].bit_length())
+            while narrow < wide:
+                shift = (narrow + wide) >> 1
+                base = (key >> shift) << shift
+                if bisect_left(ints, base + (1 << shift)) - bisect_left(ints, base) >= want:
+                    wide = shift
+                else:
+                    narrow = shift + 1
+            base = (key >> wide) << wide
+            lo = bisect_left(ints, base)
+            hi = bisect_left(ints, base + (1 << wide))
+        ranked = sorted([(key ^ ints[i], slots[i]) for i in range(lo, hi)])
         slab = self._slab
         ids = slab.ids
-        id_ints = slab.id_ints
-        ranked = sorted(
-            [
-                (key_int ^ id_ints[slot], slot)
-                for bot_id, slot in self._slots.items()
-                if bot_id != exclude_id
-            ]
-        )
         endpoints = slab.endpoints
-        return [(ids[slot], endpoints[slot]) for _, slot in ranked[:limit]]
+        return [
+            (ids[slot], endpoints[slot]) for _, slot in ranked if slot != excluded
+        ][:limit]
+
+    def _build_sorted_index(self) -> List[int]:
+        pairs = sorted(
+            (int.from_bytes(bot_id, "big"), slot) for bot_id, slot in self._slots.items()
+        )
+        self._sorted_ints = [value for value, _ in pairs]
+        self._sorted_slots = [slot for _, slot in pairs]
+        return self._sorted_ints
+
+    def _drop(self, bot_id: bytes, slot: int) -> None:
+        """Remove a live entry from every index and free its slot."""
+        del self._slots[bot_id]
+        slab = self._slab
+        self._index_drop(slab.endpoints[slot].ip)
+        ints = self._sorted_ints
+        if ints is not None:
+            i = bisect_left(ints, int.from_bytes(bot_id, "big"))
+            slots = self._sorted_slots
+            while slots[i] != slot:  # equal integers (ids of other lengths)
+                i += 1
+            del ints[i]
+            del slots[i]
+        slab.release(slot)
 
     def _conflict_slot(self, bot_id: bytes, ip: int) -> Optional[int]:
         if self._subnets is None:
@@ -316,20 +364,23 @@ class SlabPeerList:
                     stalest_slot = candidate_slot
             if stalest_seen >= entry.last_seen:
                 return False
-            del self._slots[stalest_id]
-            self._index_drop(slab.endpoints[stalest_slot].ip)
-            slab.release(stalest_slot)
+            self._drop(stalest_id, stalest_slot)
         slot = slab.alloc(bot_id, entry.endpoint, entry.last_seen, entry.failures, entry.goodcount)
         self._slots[bot_id] = slot
         self._index_add(slot, entry.endpoint.ip)
+        ints = self._sorted_ints
+        if ints is not None:
+            value = int.from_bytes(bot_id, "big")
+            i = bisect_left(ints, value)
+            ints.insert(i, value)
+            self._sorted_slots.insert(i, slot)
         return True
 
     def remove(self, bot_id: bytes) -> bool:
-        slot = self._slots.pop(bot_id, None)
+        slot = self._slots.get(bot_id)
         if slot is None:
             return False
-        self._index_drop(self._slab.endpoints[slot].ip)
-        self._slab.release(slot)
+        self._drop(bot_id, slot)
         return True
 
     def touch(self, bot_id: bytes, now: float) -> None:
@@ -354,9 +405,7 @@ class SlabPeerList:
         failures = slab.failures[slot] + 1
         slab.failures[slot] = failures
         if failures >= evict_after:
-            del self._slots[bot_id]
-            self._index_drop(slab.endpoints[slot].ip)
-            slab.release(slot)
+            self._drop(bot_id, slot)
             return True
         return False
 

@@ -253,8 +253,8 @@ class ZeusBot(BotNode):
         self._plr_history.append((now, src.ip))
         # Push mechanism: the requester advertises itself.
         self.peer_list.add(PeerEntry(bot_id=request.source_id, endpoint=src, last_seen=now))
-        # XOR-nearest selection, delegated to the peer list so the slab
-        # backend can rank on its precomputed id integers.
+        # XOR-nearest selection, delegated to the peer list so it can
+        # rank on its sorted id index.
         selected = self.peer_list.closest(
             request.payload, request.source_id, self.config.peers_per_response
         )

@@ -22,6 +22,9 @@ from __future__ import annotations
 from typing import Dict
 
 KEY_LEN = 20
+# Header bytes whose plaintext depends only on themselves and the same
+# keystream bytes (see keystream_prefix).
+HEAD_LEN = 4
 # Longest message we ever encrypt; keystreams are cached at this length.
 MAX_MESSAGE_LEN = 4096
 
@@ -168,6 +171,18 @@ def zeus_encrypt(recipient_id: bytes, plaintext: bytes, cache: KeystreamCache = 
     ks = entry[0] >> (8 * (entry[1] - size))
     value = int.from_bytes(plaintext, "big")
     return ((value ^ (value >> 8)) ^ ks).to_bytes(size, "big")
+
+
+def keystream_prefix(key: bytes, cache: KeystreamCache = _shared_cache) -> int:
+    """The key's first ``HEAD_LEN`` keystream bytes, as a big-endian int.
+
+    Ciphertext byte ``i`` is masked by keystream byte ``i`` whatever the
+    message length, so XORing this into a message's first bytes and
+    undoing the chained-XOR layer yields its plaintext header without
+    decrypting the rest.
+    """
+    entry = cache._entry(key, HEAD_LEN)
+    return entry[0] >> (8 * (entry[1] - HEAD_LEN))
 
 
 def zeus_decrypt(own_id: bytes, ciphertext: bytes, cache: KeystreamCache = _shared_cache) -> bytes:

@@ -158,6 +158,26 @@ def decode_message(data: bytes) -> ZeusMessage:
     return message
 
 
+def plausible_header(masked_head: int, size: int) -> bool:
+    """False only if a ``size``-byte ciphertext is certain not to decode.
+
+    ``masked_head`` is the ciphertext's first 4 bytes XOR the candidate
+    key's :func:`~repro.botnets.zeus.crypto.keystream_prefix`; undoing
+    the chained-XOR layer on it gives the random byte, TTL, LOP and
+    type exactly as :func:`decrypt_message` would.  A key for which
+    this returns False makes :func:`decrypt_message` raise
+    :class:`ZeusDecodeError`; any other key may still fail later.
+    """
+    if size > crypto.MAX_MESSAGE_LEN:
+        return True  # decrypt_message rejects these with its own error
+    if size < HEADER_LEN:
+        return False
+    head = masked_head ^ (masked_head >> 8)
+    head ^= head >> 16
+    lop = (head >> 8) & 0xFF
+    return (head & 0xFF) in _VALID_TYPES and lop <= MAX_LOP and HEADER_LEN + lop <= size
+
+
 def _validate_payload(message: ZeusMessage) -> None:
     """Type-specific structural checks (the receiver's sanity tests)."""
     mtype, payload = message.msg_type, message.payload

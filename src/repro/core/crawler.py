@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.sality.protocol import Command, SalityDecodeError
 from repro.botnets.zeus import protocol as zeus_protocol
+from repro.botnets.zeus.crypto import keystream_prefix
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError
 from repro.core.defects import (
     CLEAN_SALITY,
@@ -110,13 +111,12 @@ class _Target:
         self.gave_up = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRequest:
     """One in-flight request awaiting its reply."""
 
     target_id: bytes
     sent_at: float
-    source_id: bytes = b""  # Zeus: the source id the reply is keyed under
 
 
 class _CrawlerBase:
@@ -130,6 +130,11 @@ class _CrawlerBase:
     out; the default :data:`~repro.faults.retry.NO_RETRY` policy only
     expires (the paper's crawlers never retried), keeping baseline runs
     byte-identical.
+
+    ``self._in_flight`` counts pending requests per target, so "is
+    another request to this target still out?" is one lookup.  Every
+    insert and pop goes through :meth:`_add_pending` /
+    :meth:`_pop_pending`, which keep the two in step.
     """
 
     def __init__(
@@ -153,6 +158,7 @@ class _CrawlerBase:
         self.running = False
         self._targets: Dict[bytes, _Target] = {}
         self._pending: Dict[object, _PendingRequest] = {}
+        self._in_flight: Dict[bytes, int] = {}  # target id -> pending count
         self._request_counter = 0
         self._retries_spent = 0
         self._expiry_timer: Optional[Timer] = None
@@ -208,7 +214,36 @@ class _CrawlerBase:
         for source in self.policy.source_endpoints:
             self.transport.unbind(source)
 
-    # -- pending-request expiry / retry -------------------------------------
+    # -- pending requests / expiry / retry -----------------------------------
+
+    def _add_pending(self, key: object, target_id: bytes) -> None:
+        """Record a request awaiting its reply under ``key``.
+
+        Re-using a live key (Zeus ``session_range`` crawlers cycle a
+        small pool of session ids) displaces the older request, which
+        then no longer counts as in flight for its target.
+        """
+        displaced = self._pending.get(key)
+        if displaced is not None:
+            self._uncount(displaced.target_id)
+        self._pending[key] = _PendingRequest(target_id, self.scheduler.now)
+        in_flight = self._in_flight
+        in_flight[target_id] = in_flight.get(target_id, 0) + 1
+
+    def _pop_pending(self, key: object) -> Optional[_PendingRequest]:
+        """Remove and return the request under ``key``, or None."""
+        pending = self._pending.pop(key, None)
+        if pending is not None:
+            self._uncount(pending.target_id)
+        return pending
+
+    def _uncount(self, target_id: bytes) -> None:
+        in_flight = self._in_flight
+        left = in_flight[target_id] - 1
+        if left:
+            in_flight[target_id] = left
+        else:
+            del in_flight[target_id]
 
     def _schedule_expiry_sweep(self) -> None:
         self._expiry_timer = self.scheduler.call_later(
@@ -233,7 +268,7 @@ class _CrawlerBase:
             if now - pending.sent_at > self.retry.timeout
         ]
         for key in expired:
-            pending = self._pending.pop(key)
+            pending = self._pop_pending(key)
             self.report.requests_expired += 1
             self._m_expired.inc()
             if self._trace:
@@ -250,9 +285,7 @@ class _CrawlerBase:
             return
         if target.requests_sent < self.policy.requests_per_target:
             return  # the scheduled request loop is still firing
-        if target.retry_scheduled or any(
-            p.target_id == pending.target_id for p in self._pending.values()
-        ):
+        if target.retry_scheduled or pending.target_id in self._in_flight:
             return  # a younger request (or a queued retry) may still answer
         budget = self.retry.retry_budget
         out_of_budget = budget is not None and self._retries_spent >= budget
@@ -391,15 +424,14 @@ class ZeusCrawler(_CrawlerBase):
         self.forger = ZeusForger(profile, rng)
         # session id -> pending request, for reply matching/decryption.
         self._pending: Dict[bytes, _PendingRequest] = {}
-        self._recent_source_ids: List[bytes] = []
+        # The last 64 distinct source ids presented, oldest first, each
+        # with its keystream prefix once a reply has been tried under it.
+        self._source_prefixes: Dict[bytes, Optional[int]] = {}
 
     def send_request(self, target: _Target) -> None:
-        now = self.scheduler.now
         lookup = self.forger.lookup_key(target.bot_id)
         message = self.forger.build(MessageType.PEER_LIST_REQUEST, payload=lookup)
-        self._pending[message.session_id] = _PendingRequest(
-            target_id=target.bot_id, sent_at=now, source_id=message.source_id
-        )
+        self._add_pending(message.session_id, target.bot_id)
         self._remember_source(message.source_id)
         source = self._source_endpoint()
         self.transport.send(source, target.endpoint, self.forger.encrypt(message, target.bot_id))
@@ -407,22 +439,32 @@ class ZeusCrawler(_CrawlerBase):
             # Protocol-adherent crawlers intersperse the other message
             # types normal bots use (Section 4.1.4).
             extra = self.forger.build(MessageType.VERSION_REQUEST)
-            self._pending[extra.session_id] = _PendingRequest(
-                target_id=target.bot_id, sent_at=now, source_id=extra.source_id
-            )
+            self._add_pending(extra.session_id, target.bot_id)
             self.report.requests_sent += 1
             self.transport.send(source, target.endpoint, self.forger.encrypt(extra, target.bot_id))
 
     def _remember_source(self, source_id: bytes) -> None:
-        if source_id not in self._recent_source_ids:
-            self._recent_source_ids.append(source_id)
-            if len(self._recent_source_ids) > 64:
-                self._recent_source_ids.pop(0)
+        prefixes = self._source_prefixes
+        if source_id not in prefixes:
+            prefixes[source_id] = None
+            if len(prefixes) > 64:
+                del prefixes[next(iter(prefixes))]
 
     def _decrypt(self, payload: bytes) -> Optional[zeus_protocol.ZeusMessage]:
         # Replies are encrypted under the source id we presented; with
-        # the random-source defect there are many candidates.
-        for key in reversed(self._recent_source_ids):
+        # the random-source defect there are many candidates, newest
+        # first.  There is no MAC, so a wrong key can still decode and
+        # the order decides: keys are only skipped when their keystream
+        # prefix makes the header irrational, i.e. when decryption is
+        # certain to fail.
+        head = int.from_bytes(payload[:4], "big")
+        size = len(payload)
+        prefixes = self._source_prefixes
+        for key, prefix in reversed(prefixes.items()):
+            if prefix is None:
+                prefix = prefixes[key] = keystream_prefix(key)
+            if not zeus_protocol.plausible_header(head ^ prefix, size):
+                continue
             try:
                 return zeus_protocol.decrypt_message(payload, key)
             except ZeusDecodeError:
@@ -433,7 +475,7 @@ class ZeusCrawler(_CrawlerBase):
         decoded = self._decrypt(message.payload)
         if decoded is None:
             return
-        pending = self._pending.pop(decoded.session_id, None)
+        pending = self._pop_pending(decoded.session_id)
         if pending is None:
             return
         target_id = pending.target_id
@@ -526,9 +568,7 @@ class SalityCrawler(_CrawlerBase):
         else:
             command, payload = Command.PEER_REQUEST, b""
         message = self.forger.build(command, payload=payload)
-        self._pending[message.nonce] = _PendingRequest(
-            target_id=target.bot_id, sent_at=self.scheduler.now
-        )
+        self._add_pending(message.nonce, target.bot_id)
         self.transport.send(self._exchange_source(), target.endpoint, self.forger.encode(message))
 
     def _on_message(self, message: Message) -> None:
@@ -536,7 +576,7 @@ class SalityCrawler(_CrawlerBase):
             decoded = sality_protocol.decode_packet(message.payload)
         except SalityDecodeError:
             return
-        pending = self._pending.pop(decoded.nonce, None)
+        pending = self._pop_pending(decoded.nonce)
         if pending is None:
             return
         target_id = pending.target_id

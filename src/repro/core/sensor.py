@@ -321,7 +321,7 @@ class ZeusSensor(ZeusBot):
             )
             return
         # Same selection as select_closest over this list's entries;
-        # delegated so a slab-backed list ranks on precomputed id ints.
+        # delegated so the list ranks on its sorted id index.
         selected = self.peer_list.closest(
             request.payload, request.source_id, self.config.peers_per_response
         )

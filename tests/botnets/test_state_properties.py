@@ -105,6 +105,74 @@ class TestPeerListBackendEquivalence:
         assert _snapshot(bystander) == before
 
 
+# Zeus geometry: full 20-byte ids, many sharing long prefixes with one
+# base id (and with the lookup keys), so the sorted-index search has to
+# descend deep into the key's prefix before an interval holds enough ids.
+_BASE_ID = bytes(range(40, 60))
+zeus_ids = st.tuples(
+    st.integers(min_value=0, max_value=19), st.binary(min_size=20, max_size=20)
+).map(lambda t: _BASE_ID[: t[0]] + t[1][t[0]:])
+zeus_endpoints = st.builds(
+    Endpoint,
+    ip=st.integers(min_value=1, max_value=0xFFFFFFFF),
+    port=st.integers(min_value=1024, max_value=65535),
+)
+zeus_add = st.tuples(st.just("add"), zeus_ids, zeus_endpoints, times)
+zeus_operations = st.lists(
+    st.one_of(
+        zeus_add,
+        st.tuples(st.just("remove_member"), st.integers(min_value=0)),
+        st.tuples(st.just("record_failure_member"), st.integers(min_value=0)),
+        st.tuples(st.just("closest"), zeus_ids, zeus_ids, st.just(10)),
+        st.tuples(st.just("closest_member"), zeus_ids, st.integers(min_value=0), st.just(10)),
+    ),
+    max_size=80,
+)
+
+
+def _resolve_member(peer_list, op):
+    """Replace a member index by the id it names in ``peer_list``."""
+    kind = op[0]
+    if not kind.endswith("_member"):
+        return op
+    members = sorted(peer_list.ids())
+    if kind == "closest_member":
+        _, key, index, limit = op
+        exclude = members[index % len(members)] if members else key
+        return ("closest", key, exclude, limit)
+    member = members[op[1] % len(members)] if members else b""
+    if kind == "remove_member":
+        return ("remove", member)
+    return ("record_failure", member, 1)
+
+
+class TestClosestAtZeusGeometry:
+    @pytest.mark.parametrize("prefix", [None, 20])
+    @given(fill=st.lists(zeus_add, min_size=100, max_size=220), ops=zeus_operations)
+    @settings(max_examples=40, deadline=None)
+    def test_closest_matches_reference(self, prefix, fill, ops):
+        """At Zeus capacity (150) and reply size (10), the sorted-index
+        ``closest`` returns what the reference model's full sort does,
+        with the requester inside or outside the list, while adds,
+        evictions, removals and failure evictions reshape the index."""
+        objects = PeerList(capacity=150, ip_filter_prefix=prefix)
+        slab = SlabPeerList(capacity=150, ip_filter_prefix=prefix, slab=PeerSlab())
+        # Never looked up until the end: its index is built from the
+        # final contents instead of maintained through every change.
+        lazy = SlabPeerList(capacity=150, ip_filter_prefix=prefix, slab=PeerSlab())
+        first = ("closest", _BASE_ID, b"", 10)
+        assert _apply(objects, first) == _apply(slab, first)
+        for op in fill + ops:
+            op = _resolve_member(objects, op)
+            assert _apply(objects, op) == _apply(slab, op)
+            if op[0] != "closest":
+                _apply(lazy, op)
+        assert _snapshot(objects) == _snapshot(slab) == _snapshot(lazy)
+        key = fill[0][1]
+        last = ("closest", key, key, 10)
+        assert _apply(objects, last) == _apply(slab, last) == _apply(lazy, last)
+
+
 class TestSchedulerBatchTieBreak:
     @given(
         order=st.permutations(list(range(12))),

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.botnets.zeus import protocol
+from repro.botnets.zeus import crypto, protocol
 from repro.botnets.zeus.protocol import (
     MessageType,
     ZeusDecodeError,
@@ -178,3 +180,54 @@ class TestEncryptedRoundtrip:
             except ZeusDecodeError:
                 failures += 1
         assert failures >= 18  # structural checks catch nearly all
+
+
+def masked_head(wire, key):
+    """The pre-check's input: first 4 ciphertext bytes XOR the key's
+    keystream prefix."""
+    return int.from_bytes(wire[:4], "big") ^ crypto.keystream_prefix(key)
+
+
+keys = st.binary(min_size=20, max_size=20)
+
+
+class TestHeaderPreCheck:
+    """``plausible_header`` may only reject keys that cannot decrypt:
+    the crawler skips those keys, and skipping one that would have
+    decoded would change which key wins."""
+
+    @given(payload=st.binary(max_size=160), key=keys)
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_header_means_decrypt_fails(self, payload, key):
+        if not protocol.plausible_header(masked_head(payload, key), len(payload)):
+            with pytest.raises(ZeusDecodeError):
+                decrypt_message(payload, key)
+
+    @given(
+        msg_type=st.sampled_from(list(MessageType)),
+        payload=st.binary(max_size=120),
+        seed=st.integers(min_value=0, max_value=2**32),
+        key=keys,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_well_formed_message_passes_under_its_own_key(self, msg_type, payload, seed, key):
+        message = protocol.make_message(msg_type, SRC, random.Random(seed), payload=payload)
+        wire = encrypt_message(message, key)
+        assert protocol.plausible_header(masked_head(wire, key), len(wire))
+
+    def test_header_fields_match_decryption(self):
+        """The 4-byte shortcut yields the decrypted header bytes."""
+        rng = random.Random(4)
+        for _ in range(50):
+            key = random_id(rng)
+            wire = bytes(rng.getrandbits(8) for _ in range(60))
+            head = masked_head(wire, key)
+            head ^= head >> 8
+            head ^= head >> 16
+            plain = crypto.zeus_decrypt(key, wire)
+            assert head.to_bytes(4, "big") == plain[:4]
+
+    def test_oversized_payload_left_to_decrypt(self):
+        """Oversized input is decrypt_message's own ValueError, not a
+        decode failure the pre-check may claim."""
+        assert protocol.plausible_header(0xFFFFFFFF, crypto.MAX_MESSAGE_LEN + 1)
