@@ -30,6 +30,7 @@ from repro.botnets.sality import protocol
 from repro.botnets.sality.protocol import Command, SalityDecodeError, SalityMessage
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import MINUTE
+from repro.sim.rng import random_bytes
 from repro.sim.scheduler import Scheduler
 
 
@@ -115,7 +116,7 @@ class SalityBot(BotNode):
         self._plr_history: List[Tuple[float, int]] = []
         self.undecodable = 0
         self.urlpack_sequence = 1
-        self.urlpack_blob = bytes([self.rng.getrandbits(8) for _ in range(32)])
+        self.urlpack_blob = random_bytes(self.rng, 32)
         # Inbound dispatch keyed by raw wire byte; built once per bot so
         # handle_message avoids a dict literal + enum call per message.
         self._dispatch = {
@@ -243,9 +244,13 @@ class SalityBot(BotNode):
         except SalityDecodeError:
             self.undecodable += 1
             return
+        self._handle_decoded(decoded, message.src)
+
+    def _handle_decoded(self, decoded: SalityMessage, src: Endpoint) -> None:
+        """Dispatch a message that decoded."""
         handler = self._dispatch.get(decoded.command)
         if handler is not None:
-            handler(decoded, message.src)
+            handler(decoded, src)
 
     def _reply(self, request: SalityMessage, src: Endpoint, command: int, payload: bytes) -> None:
         reply = protocol.make_message(
@@ -282,13 +287,13 @@ class SalityBot(BotNode):
         self._reply(request, src, Command.HELLO, protocol.encode_hello(self.endpoint.port))
 
     def _on_peer_request(self, request: SalityMessage, src: Endpoint) -> None:
-        self._plr_history.append((self.scheduler.now, src.ip))
+        src_ip = src.ip
+        self._plr_history.append((self.scheduler.now, src_ip))
+        requester = _id_key(request.bot_id)
         candidates = [
-            entry
-            for entry in self.peer_list
-            if entry.goodcount >= self.config.goodcount_propagate_threshold
-            and entry.endpoint.ip != src.ip
-            and entry.bot_id != _id_key(request.bot_id)
+            item
+            for item in self.peer_list.reputable(self.config.goodcount_propagate_threshold)
+            if item[1].ip != src_ip and item[0] != requester
         ]
         if candidates:
             # One entry per response, chosen with goodcount-weighted
@@ -297,9 +302,9 @@ class SalityBot(BotNode):
             # requests.  This reputation skew plus the single-entry
             # limit is why Sality crawlers must hammer each bot to
             # cover its peer list (Section 4.1.5).
-            weights = [(1 + max(0, entry.goodcount)) ** 2 for entry in candidates]
-            best = self.rng.choices(candidates, weights=weights, k=1)[0]
-            payload = protocol.encode_peer_entry(int.from_bytes(best.bot_id, "big"), best.endpoint)
+            weights = [(1 + max(0, goodcount)) ** 2 for _, _, goodcount in candidates]
+            bot_id, endpoint, _ = self.rng.choices(candidates, weights=weights, k=1)[0]
+            payload = protocol.encode_peer_entry(int.from_bytes(bot_id, "big"), endpoint)
         else:
             payload = b""
         self._reply(request, src, Command.PEER_RESPONSE, payload)

@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 
 from repro.botnets.zeus.crypto import KeystreamCache
 from repro.net.transport import Endpoint
+from repro.sim.rng import random_bytes
 
 HEADER_LEN = 12
 MAJOR_VERSION = 3
@@ -41,7 +42,9 @@ PEER_ENTRY_LEN = 4 + 4 + 2  # bot id + IPv4 + port
 # analysts build Sality probes in practice).
 NETWORK_KEY = b"sality3-p2p-network!"
 
-_keystreams = KeystreamCache(max_entries=65536)
+# Each nonce key lives for one exchange (request and echoed reply), so
+# a small cache holds every key still in use.
+_keystreams = KeystreamCache(max_entries=4096)
 
 
 class Command(IntEnum):
@@ -97,8 +100,7 @@ def make_message(
         nonce=nonce if nonce is not None else rng.getrandbits(32),
         payload=payload,
         minor_version=minor_version,
-        # Per-byte draws are load-bearing for replay compatibility.
-        padding=bytes([rng.getrandbits(8) for _ in range(pad_len)]),
+        padding=random_bytes(rng, pad_len),
     )
 
 

@@ -11,7 +11,9 @@ per-peer scalars in flat parallel arrays:
   harness) gets a private one;
 * :class:`SlabPeerList` -- the peer list every bot, sensor and sinkhole
   runs on; per-node state is just an insertion-ordered
-  ``{bot_id: slot}`` dict plus a subnet index;
+  ``{bot_id: slot}`` dict plus a subnet index, and the hot scans
+  (:meth:`~SlabPeerList.maintenance_view`, :meth:`~SlabPeerList.reputable`,
+  :meth:`~SlabPeerList.closest`) read the columns directly;
 * :class:`SlabPeerEntry` -- a two-word flyweight view over one slot,
   duck-typed like :class:`repro.botnets.base.PeerEntry`;
 * :class:`PopulationState` -- the per-population registry tying node
@@ -240,6 +242,23 @@ class SlabPeerList:
         endpoints = slab.endpoints
         failures = slab.failures
         return [(ids[slot], endpoints[slot], failures[slot]) for slot in order]
+
+    def reputable(self, threshold: int) -> list:
+        """(bot_id, endpoint, goodcount) tuples of every entry whose
+        goodcount is at least ``threshold``, in insertion order.
+
+        Sality's peer-exchange selection, built straight from the slab
+        columns -- no flyweight per entry of a 1000-entry list.
+        """
+        slab = self._slab
+        goodcount = slab.goodcount
+        ids = slab.ids
+        endpoints = slab.endpoints
+        return [
+            (ids[slot], endpoints[slot], goodcount[slot])
+            for slot in self._slots.values()
+            if goodcount[slot] >= threshold
+        ]
 
     def closest(self, lookup_key: bytes, exclude_id: bytes, limit: int) -> list:
         """The ``limit`` (bot_id, endpoint) pairs XOR-closest to

@@ -34,6 +34,7 @@ from repro.botnets.zeus import protocol
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError, ZeusMessage
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import MINUTE
+from repro.sim.rng import random_bytes
 from repro.sim.scheduler import Scheduler
 
 DEFAULT_VERSION = 0x00030204  # "3.2.4" packed; bots compare numerically
@@ -138,7 +139,7 @@ class ZeusBot(BotNode):
         self._plr_history: List[Tuple[float, int]] = []
         self.undecryptable = 0
         self.blacklist_drops = 0
-        self.config_blob = bytes([self.rng.getrandbits(8) for _ in range(64)])
+        self.config_blob = random_bytes(self.rng, 64)
         # Inbound dispatch keyed by raw wire byte; built once per bot so
         # handle_message avoids a dict literal + enum call per message.
         self._dispatch = {
@@ -220,12 +221,17 @@ class ZeusBot(BotNode):
         except ZeusDecodeError:
             self.undecryptable += 1
             return
-        if self.auto_blacklister.is_blocked(message.src.ip):
+        self._handle_decoded(decoded, message.src)
+
+    def _handle_decoded(self, decoded: ZeusMessage, src: Endpoint) -> None:
+        """Act on a message that passed the static blacklist and
+        decrypted under our ID: the auto-blacklist, then dispatch."""
+        if self.auto_blacklister.is_blocked(src.ip):
             self.blacklist_drops += 1
             return
         handler = self._dispatch.get(decoded.msg_type)
         if handler is not None:
-            handler(decoded, message.src)
+            handler(decoded, src)
 
     def _reply(self, request: ZeusMessage, src: Endpoint, msg_type: int, payload: bytes) -> None:
         reply = protocol.make_message(

@@ -12,7 +12,10 @@ encoding.  Two consequences the paper leans on:
 
 Implementation notes: RC4 produces an identical keystream for a fixed
 key, so the keystream for each recipient ID is computed once and
-cached; per-message work is then two big-int XORs.  The chained-XOR
+cached; per-message work is then two big-int XORs.  Each cached key
+holds keystream for its longest message so far, rounded up to a power
+of two, plus the PRGA resume state as 256 immutable bytes, so a key
+used once (Sality's per-exchange nonce keys) costs a few hundred bytes.  The chained-XOR
 layer is likewise implemented with shift/XOR on big ints, making the
 whole stack fast enough to encrypt millions of simulated messages.
 """
@@ -68,20 +71,24 @@ class KeystreamCache:
     """Cache of lazily-grown RC4 keystreams keyed by recipient ID.
 
     One shared instance per simulation keeps total KSA work at
-    O(#distinct recipients) instead of O(#messages).  Keystreams start
-    at ``INITIAL_LEN`` bytes and double (resuming the saved PRGA state)
+    O(#distinct recipients) instead of O(#messages).  A key's first
+    chunk is the smallest power of two, from ``INITIAL_LEN`` up, that
+    covers the first need; it doubles (resuming the saved PRGA state)
     only when a longer message appears, so families that derive a fresh
     key per exchange (Sality's per-nonce keys) never pay for the
-    MAX_MESSAGE_LEN worst case on their short packets.
+    MAX_MESSAGE_LEN worst case on their short packets.  A keystream
+    prefix does not depend on how far the stream was computed, so chunk
+    sizes never change an output byte.  The PRGA state is kept as
+    ``bytes`` (one small object, not a list of 256 ints) and copied
+    into a list only to resume.
     """
 
-    #: First chunk of keystream computed per key; covers every Sality
-    #: packet and most Zeus messages outright.
-    INITIAL_LEN = 128
+    #: Smallest first chunk of keystream computed per key.
+    INITIAL_LEN = 32
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries
-        # key -> [keystream_int, length, prga_state, i, j]
+        # key -> [keystream_int, length, prga_state_bytes, i, j]
         self._cache: Dict[bytes, list] = {}
 
     def _entry(self, key: bytes, need: int) -> list:
@@ -96,7 +103,7 @@ class KeystreamCache:
             if length > MAX_MESSAGE_LEN:
                 length = MAX_MESSAGE_LEN
             chunk, i, j = _rc4_prga(state, i, j, length)
-            entry = [int.from_bytes(chunk, "big"), length, state, i, j]
+            entry = [int.from_bytes(chunk, "big"), length, bytes(state), i, j]
             self._cache[key] = entry
         elif entry[1] < need:
             length = entry[1]
@@ -105,9 +112,11 @@ class KeystreamCache:
                 target <<= 1
             if target > MAX_MESSAGE_LEN:
                 target = MAX_MESSAGE_LEN
-            extra, i, j = _rc4_prga(entry[2], entry[3], entry[4], target - length)
+            state = list(entry[2])
+            extra, i, j = _rc4_prga(state, entry[3], entry[4], target - length)
             entry[0] = (entry[0] << (8 * (target - length))) | int.from_bytes(extra, "big")
             entry[1] = target
+            entry[2] = bytes(state)
             entry[3] = i
             entry[4] = j
         return entry

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.botnets.zeus import crypto
 from repro.net.transport import Endpoint
+from repro.sim.rng import random_bytes
 
 HEADER_LEN = 44
 ID_LEN = 20
@@ -107,10 +108,7 @@ def make_message(
         payload=payload,
         random_byte=rng.randrange(256),
         ttl=rng.randrange(256),
-        # List comprehension, not a genexpr: bytes() can preallocate
-        # from a list.  The per-byte draw sequence is load-bearing for
-        # replay compatibility; do not switch to randbytes().
-        padding=bytes([rng.getrandbits(8) for _ in range(lop)]),
+        padding=random_bytes(rng, lop),
     )
 
 

@@ -186,7 +186,7 @@ class ZeusSensor(ZeusBot):
     # -- logging + dispatch ----------------------------------------------------
 
     def handle_message(self, message: Message) -> None:
-        observed = self._observe(message)
+        observed, decoded = self._observe(message)
         self.observations.append(observed)
         self._m_observed.inc()
         if self._trace:
@@ -195,7 +195,7 @@ class ZeusSensor(ZeusBot):
                 sensor=self.node_id, src=str(message.src),
                 decrypt_ok=observed.decrypt_ok, msg_type=observed.msg_type,
             )
-        if not observed.decrypt_ok:
+        if decoded is None:
             self.undecryptable += 1
             return
         if self.active_peer_list_requests and observed.source_id not in self._probed_sources:
@@ -215,9 +215,16 @@ class ZeusSensor(ZeusBot):
                 self._send_request(
                     current.bot_id, current.endpoint, MessageType.PEER_LIST_REQUEST, observed.source_id
                 )
-        super().handle_message(message)
+        # The bot's own checks, in its order, on the message decrypted
+        # above: the static blacklist, then _handle_decoded.
+        if self.static_blacklist.is_blocked(message.src.ip):
+            self.blacklist_drops += 1
+            return
+        self._handle_decoded(decoded, message.src)
 
-    def _observe(self, message: Message) -> ObservedZeusMessage:
+    def _observe(self, message: Message) -> Tuple[ObservedZeusMessage, Optional[ZeusMessage]]:
+        """The log record of ``message`` and its decrypted form (None
+        when it does not decrypt under our ID)."""
         base = ObservedZeusMessage(
             time=self.scheduler.now,
             src_ip=message.src.ip,
@@ -227,7 +234,7 @@ class ZeusSensor(ZeusBot):
         try:
             decoded = zeus_protocol.decrypt_message(message.payload, self.bot_id)
         except ZeusDecodeError:
-            return base
+            return base, None
         base.decrypt_ok = True
         base.msg_type = decoded.msg_type
         base.random_byte = decoded.random_byte
@@ -238,7 +245,7 @@ class ZeusSensor(ZeusBot):
         base.padding = decoded.padding
         if decoded.msg_type == MessageType.PEER_LIST_REQUEST:
             base.lookup_key = decoded.payload
-        return base
+        return base, decoded
 
     # -- active-probe retry ------------------------------------------------------
 
@@ -467,7 +474,7 @@ class SalitySensor(SalityBot):
                 sensor=self.node_id, src=str(message.src),
                 decode_ok=True, command=decoded.command,
             )
-        super().handle_message(message)
+        self._handle_decoded(decoded, message.src)
 
     def observed_ips(self) -> Set[int]:
         return {obs.src_ip for obs in self.observations}

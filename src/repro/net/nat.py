@@ -39,23 +39,26 @@ class RoutabilityTable:
     dropped unless the destination previously sent traffic to the
     source's IP (which opened a hole).
 
-    A hole is stored as a bare expiry timestamp -- long runs open
-    millions of them, so there is no per-hole object.  Expired holes
-    are normally deleted when re-checked; quiet pairs are reclaimed by
-    a size-triggered sweep (deterministic: keyed on table size and
-    simulated time only, and removing an expired hole is
-    behavior-neutral).
+    Holes are grouped per endpoint as ``{endpoint: {remote_ip:
+    expiry}}`` -- a bare expiry timestamp per hole, since long runs
+    open millions of them -- so unbinding an endpoint (Sality binds a
+    fresh port per exchange) drops its holes in one step.  Expired
+    holes are normally deleted when re-checked; quiet pairs are
+    reclaimed by a sweep triggered by the running pair count
+    (deterministic: keyed on that count and simulated time only, and
+    removing an expired hole is behavior-neutral).
     """
 
-    #: Never sweep below this size; the threshold then doubles with the
-    #: live population so sweep cost stays amortized O(1) per insert.
+    #: Never sweep below this many pairs; the threshold then doubles
+    #: with the live count so sweep cost stays amortized O(1) per insert.
     SWEEP_MIN = 4096
 
     def __init__(self, hole_ttl: float = DEFAULT_HOLE_TTL) -> None:
         self.hole_ttl = hole_ttl
         self._routable: Dict[Tuple[int, int], bool] = {}
-        # (non-routable endpoint, remote ip) -> expiry time
-        self._holes: Dict[Tuple[Tuple[int, int], int], float] = {}
+        # non-routable endpoint -> {remote ip -> expiry time}
+        self._holes: Dict[Tuple[int, int], Dict[int, float]] = {}
+        self._pairs = 0  # (endpoint, remote ip) pairs held in _holes
         self._sweep_at = self.SWEEP_MIN
 
     def register(self, endpoint: Tuple[int, int], routable: bool) -> None:
@@ -63,9 +66,9 @@ class RoutabilityTable:
 
     def unregister(self, endpoint: Tuple[int, int]) -> None:
         self._routable.pop(endpoint, None)
-        stale = [key for key in self._holes if key[0] == endpoint]
-        for key in stale:
-            del self._holes[key]
+        holes = self._holes.pop(endpoint, None)
+        if holes is not None:
+            self._pairs -= len(holes)
 
     def is_registered(self, endpoint: Tuple[int, int]) -> bool:
         return endpoint in self._routable
@@ -76,13 +79,27 @@ class RoutabilityTable:
     def note_outbound(self, src: Tuple[int, int], dst_ip: int, now: float) -> None:
         """Record outbound traffic, opening/refreshing a punch-hole."""
         if self._routable.get(src) is False:
-            holes = self._holes
-            holes[(src, dst_ip)] = now + self.hole_ttl
-            if len(holes) >= self._sweep_at:
-                expired = [key for key, expires in holes.items() if expires < now]
-                for key in expired:
-                    del holes[key]
-                self._sweep_at = max(self.SWEEP_MIN, 2 * len(holes))
+            holes = self._holes.get(src)
+            if holes is None:
+                holes = self._holes[src] = {}
+            if dst_ip not in holes:
+                self._pairs += 1
+            holes[dst_ip] = now + self.hole_ttl
+            if self._pairs >= self._sweep_at:
+                self._sweep(now)
+
+    def _sweep(self, now: float) -> None:
+        """Delete every expired hole (and emptied endpoint)."""
+        pairs = 0
+        for endpoint, holes in list(self._holes.items()):
+            for remote_ip in [ip for ip, expires in holes.items() if expires < now]:
+                del holes[remote_ip]
+            if holes:
+                pairs += len(holes)
+            else:
+                del self._holes[endpoint]
+        self._pairs = pairs
+        self._sweep_at = max(self.SWEEP_MIN, 2 * pairs)
 
     def inbound_allowed(self, dst: Tuple[int, int], src_ip: int, now: float) -> bool:
         """Is delivery from ``src_ip`` to endpoint ``dst`` permitted?"""
@@ -91,21 +108,22 @@ class RoutabilityTable:
             return False  # nobody bound there
         if routable:
             return True
-        expires = self._holes.get((dst, src_ip))
+        holes = self._holes.get(dst)
+        if holes is None:
+            return False
+        expires = holes.get(src_ip)
         if expires is None:
             return False
         if expires < now:
-            del self._holes[(dst, src_ip)]
+            del holes[src_ip]
+            self._pairs -= 1
             return False
         return True
 
     def open_holes(self, dst: Tuple[int, int], now: float) -> Set[int]:
         """IPs currently allowed to reach non-routable endpoint ``dst``."""
-        return {
-            remote_ip
-            for (endpoint, remote_ip), expires in self._holes.items()
-            if endpoint == dst and expires >= now
-        }
+        holes = self._holes.get(dst, {})
+        return {remote_ip for remote_ip, expires in holes.items() if expires >= now}
 
 
 @dataclass

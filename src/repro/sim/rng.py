@@ -27,6 +27,22 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """``n`` random bytes drawn exactly as ``n`` calls of
+    ``rng.getrandbits(8)`` would draw them.
+
+    The per-byte draw sequence is load-bearing for replay
+    compatibility, so ``rng.randbytes`` (which packs four bytes per
+    32-bit word) cannot stand in.  ``getrandbits(8)`` keeps the top
+    byte of one 32-bit word; ``getrandbits(32 * n)`` consumes the same
+    ``n`` words, little-endian, so every fourth byte is the same draw
+    and the generator ends in the same state.
+    """
+    if n <= 0:
+        return b""
+    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+
+
 class RngRegistry:
     """Factory and cache of named :class:`random.Random` streams."""
 

@@ -11,13 +11,17 @@ preserve: same-timestamp events fire in insertion order, regardless of
 which store (due heap, timer wheel, far heap) they pass through.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.botnets.base import PeerEntry, PeerList
+from repro.botnets.sality import protocol as sality_protocol
+from repro.botnets.sality.bot import SalityBot, SalityConfig
 from repro.botnets.state import PeerSlab, SlabPeerList
-from repro.net.transport import Endpoint
+from repro.net.transport import Endpoint, Transport
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.scheduler import Scheduler
 
@@ -171,6 +175,105 @@ class TestClosestAtZeusGeometry:
         key = fill[0][1]
         last = ("closest", key, key, 10)
         assert _apply(objects, last) == _apply(slab, last) == _apply(lazy, last)
+
+
+class _ReplyRecordingBot(SalityBot):
+    """A Sality bot that keeps what it sends instead of sending it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def send(self, dst, payload):
+        self.sent.append(payload)
+        return True
+
+
+def _flyweight_choice(peer_list, threshold, src_ip, requester, rng):
+    """The peer-exchange selection over flyweight entries (oracle)."""
+    candidates = [
+        entry
+        for entry in peer_list
+        if entry.goodcount >= threshold
+        and entry.endpoint.ip != src_ip
+        and entry.bot_id != requester.to_bytes(4, "big")
+    ]
+    if not candidates:
+        return b""
+    weights = [(1 + max(0, entry.goodcount)) ** 2 for entry in candidates]
+    best = rng.choices(candidates, weights=weights, k=1)[0]
+    return sality_protocol.encode_peer_entry(int.from_bytes(best.bot_id, "big"), best.endpoint)
+
+
+sality_ids = st.integers(min_value=0, max_value=40)
+sality_ips = st.integers(min_value=1, max_value=30).map(lambda ip: (10 << 24) + ip)
+sality_fill = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove"]),
+        sality_ids,
+        sality_ips,
+        st.integers(min_value=-4, max_value=7),
+        times,
+    ),
+    max_size=80,
+)
+
+
+class TestSalityPeerSelection:
+    @given(
+        fill=sality_fill,
+        requester=sality_ids,
+        src_ip=sality_ips,
+        threshold=st.integers(min_value=-2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_column_selection_matches_flyweights(self, fill, requester, src_ip, threshold, seed):
+        """``reputable`` lists what the flyweights do, and a bot answering
+        a peer exchange names the same entry and leaves its generator in
+        the same state as the flyweight comprehension would."""
+        scheduler = Scheduler()
+        bot = _ReplyRecordingBot(
+            node_id="bot",
+            bot_id=(999).to_bytes(4, "big"),
+            endpoint=Endpoint((20 << 24) + 1, 3000),
+            transport=Transport(scheduler, random.Random(0)),
+            scheduler=scheduler,
+            rng=random.Random(seed),
+            config=SalityConfig(peer_list_capacity=30, goodcount_propagate_threshold=threshold),
+        )
+        peer_list = bot.peer_list
+        for kind, bot_id, ip, goodcount, last_seen in fill:
+            key = bot_id.to_bytes(4, "big")
+            if kind == "remove":
+                peer_list.remove(key)
+            else:
+                peer_list.add(
+                    PeerEntry(
+                        bot_id=key, endpoint=Endpoint(ip, 4000), last_seen=last_seen,
+                        goodcount=goodcount,
+                    )
+                )
+        assert peer_list.reputable(threshold) == [
+            (entry.bot_id, entry.endpoint, entry.goodcount)
+            for entry in peer_list.entries()
+            if entry.goodcount >= threshold
+        ]
+        request = sality_protocol.SalityMessage(
+            command=sality_protocol.Command.PEER_REQUEST, bot_id=requester, nonce=77
+        )
+        oracle = random.Random()
+        oracle.setstate(bot.rng.getstate())
+        payload = _flyweight_choice(peer_list, threshold, src_ip, requester, oracle)
+        expected = sality_protocol.encode_packet(
+            sality_protocol.make_message(
+                sality_protocol.Command.PEER_RESPONSE, bot.int_id, oracle,
+                payload=payload, nonce=request.nonce, minor_version=bot.config.minor_version,
+            )
+        )
+        bot._on_peer_request(request, Endpoint(src_ip, 5000))
+        assert bot.sent == [expected]
+        assert bot.rng.getstate() == oracle.getstate()
 
 
 class TestSchedulerBatchTieBreak:

@@ -1,8 +1,11 @@
 """Unit tests for GameOver Zeus crypto."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.botnets.zeus.crypto import (
+    MAX_MESSAGE_LEN,
     KeystreamCache,
     rc4_keystream,
     visual_decode,
@@ -97,3 +100,44 @@ class TestZeusEncryption:
             zeus_encrypt(b"short", b"data")
         with pytest.raises(ValueError):
             zeus_decrypt(b"short", b"data")
+
+
+class TestKeystreamCacheProperties:
+    @given(
+        keys=st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=4, unique=True),
+        needs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.one_of(
+                    st.integers(min_value=0, max_value=80),
+                    st.integers(min_value=0, max_value=MAX_MESSAGE_LEN),
+                ),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        max_entries=st.integers(min_value=1, max_value=3),
+    )
+    def test_xor_matches_full_keystream(self, keys, needs, max_entries):
+        """Whatever order of growing and shrinking needs, and however
+        often the cache is cleared, ``xor`` masks with the key's RC4
+        keystream; resume state is stored as bytes, never a list."""
+        cache = KeystreamCache(max_entries=max_entries)
+        for which, size in needs:
+            key = keys[which % len(keys)]
+            data = bytes((7 * n + size) & 0xFF for n in range(size))
+            expected = bytes(a ^ b for a, b in zip(data, rc4_keystream(key, size)))
+            assert cache.xor(key, data) == expected
+            assert len(cache._cache) <= max_entries
+            for entry in cache._cache.values():
+                assert not any(isinstance(field, list) for field in entry)
+                assert isinstance(entry[2], bytes) and len(entry[2]) == 256
+
+    def test_first_chunk_fits_first_need(self):
+        cache = KeystreamCache()
+        cache.xor(KEY, b"\x00" * 4)
+        assert cache._cache[KEY][1] == KeystreamCache.INITIAL_LEN == 32
+        cache.xor(OTHER_KEY, b"\x00" * 65)
+        assert cache._cache[OTHER_KEY][1] == 128
+        cache.xor(KEY, b"\x00" * 33)  # grows by doubling from 32
+        assert cache._cache[KEY][1] == 64

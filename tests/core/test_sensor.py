@@ -1,7 +1,10 @@
 """Integration tests: sensors injected into small simulated botnets."""
 
+import random
+
 import pytest
 
+from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.sality.network import SalityNetwork, SalityNetworkConfig
 from repro.botnets.zeus import protocol as zeus_protocol
 from repro.botnets.zeus.network import ZeusNetwork, ZeusNetworkConfig
@@ -12,8 +15,9 @@ from repro.core.sensor import (
     ZeusSensor,
 )
 from repro.net.address import parse_ip
-from repro.net.transport import Endpoint
+from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import DAY, HOUR
+from repro.sim.scheduler import Scheduler
 
 
 def zeus_net(population=60, seed=11):
@@ -263,3 +267,85 @@ class TestSalitySensor:
         ]
         assert goodcounts, "sensor never entered any peer list"
         assert max(goodcounts) > 0
+
+
+class TestSensorDecodesOnce:
+    """A sensor logs a message and acts on it as a bot from one decode."""
+
+    SRC = Endpoint(parse_ip("51.0.0.1"), 6001)
+
+    def counting(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+        return calls
+
+    def zeus_sensor(self):
+        scheduler = Scheduler()
+        rng = random.Random(5)
+        return ZeusSensor(
+            node_id="sensor-0",
+            bot_id=zeus_protocol.random_id(rng),
+            endpoint=Endpoint(parse_ip("50.0.0.1"), 6000),
+            transport=Transport(scheduler, random.Random(0)),
+            scheduler=scheduler,
+            rng=rng,
+        )
+
+    def zeus_request(self, sensor, key=None):
+        rng = random.Random(9)
+        message = zeus_protocol.make_message(
+            MessageType.VERSION_REQUEST, zeus_protocol.random_id(rng), rng
+        )
+        payload = zeus_protocol.encrypt_message(message, key or sensor.bot_id)
+        return Message(self.SRC, sensor.endpoint, payload, 0.0, 0.0)
+
+    def test_zeus_sensor_decrypts_once(self, monkeypatch):
+        sensor = self.zeus_sensor()
+        calls = self.counting(monkeypatch, zeus_protocol, "decrypt_message")
+        sensor.handle_message(self.zeus_request(sensor))
+        assert calls == ["decrypt_message"]
+        assert sensor.observations[0].decrypt_ok
+        assert sensor.counters.requests_served == 1
+
+    def test_zeus_sensor_counters(self, monkeypatch):
+        sensor = self.zeus_sensor()
+        calls = self.counting(monkeypatch, zeus_protocol, "decrypt_message")
+        sensor.handle_message(self.zeus_request(sensor, key=bytes(20)))
+        assert (sensor.undecryptable, sensor.blacklist_drops) == (1, 0)
+        sensor.static_blacklist.add(self.SRC.ip)
+        sensor.handle_message(self.zeus_request(sensor))
+        assert (sensor.undecryptable, sensor.blacklist_drops) == (1, 1)
+        assert calls == ["decrypt_message"] * 2
+        assert [obs.decrypt_ok for obs in sensor.observations] == [False, True]
+        assert sensor.counters.requests_served == 0
+
+    def test_sality_sensor_decodes_once(self, monkeypatch):
+        scheduler = Scheduler()
+        rng = random.Random(5)
+        sensor = SalitySensor(
+            node_id="sensor-0",
+            bot_id=rng.getrandbits(32).to_bytes(4, "big"),
+            endpoint=Endpoint(parse_ip("50.0.0.1"), 6000),
+            transport=Transport(scheduler, random.Random(0)),
+            scheduler=scheduler,
+            rng=rng,
+        )
+        calls = self.counting(monkeypatch, sality_protocol, "decode_packet")
+        hello = sality_protocol.make_message(
+            sality_protocol.Command.HELLO, 1234, random.Random(9),
+            payload=sality_protocol.encode_hello(7000),
+        )
+        payload = sality_protocol.encode_packet(hello)
+        sensor.handle_message(Message(self.SRC, sensor.endpoint, payload, 0.0, 0.0))
+        assert calls == ["decode_packet"]
+        assert sensor.observations[0].decode_ok
+        assert sensor.counters.requests_served == 1
+        sensor.handle_message(Message(self.SRC, sensor.endpoint, payload[:8], 0.0, 0.0))
+        assert calls == ["decode_packet"] * 2
+        assert sensor.undecodable == 1

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.sim.rng import RngRegistry, derive_seed, random_bytes
 from repro.sim.scheduler import Scheduler
 
 # One scheduler operation: (insert? , time , cancel-target).  Cancel
@@ -92,6 +92,17 @@ class TestSchedulerOrderingProperties:
             # Cancel churn: drop a fresh far-future timer immediately.
             scheduler.call_at(time + 10_000.0, lambda: None).cancel()
             assert scheduler.heap_size <= 2 * scheduler.pending + compaction_min + 1
+
+
+class TestRandomBytes:
+    @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=64))
+    def test_matches_per_byte_draws(self, seed, n):
+        """Same bytes as ``n`` calls of ``getrandbits(8)``, and the
+        generator ends in the same state."""
+        per_byte = random.Random(seed)
+        packed = random.Random(seed)
+        assert random_bytes(packed, n) == bytes([per_byte.getrandbits(8) for _ in range(n)])
+        assert packed.getstate() == per_byte.getstate()
 
 
 class TestRngRegistryProperties:
