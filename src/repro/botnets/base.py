@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.botnets.state import intern_id
 from repro.net.address import subnet_key
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.scheduler import Scheduler, Timer
@@ -247,7 +248,9 @@ class BotNode:
         cycle_jitter: float = 0.1,
     ) -> None:
         self.node_id = node_id
-        self.bot_id = bot_id
+        # Interned, so that every peer-list row, crawler report and
+        # sensor log holding this bot's id shares this one object.
+        self.bot_id = intern_id(bot_id)
         self.endpoint = endpoint
         self.transport = transport
         self.scheduler = scheduler

@@ -17,7 +17,10 @@ per-peer scalars in flat parallel arrays:
 * :class:`SlabPeerEntry` -- a two-word flyweight view over one slot,
   duck-typed like :class:`repro.botnets.base.PeerEntry`;
 * :class:`PopulationState` -- the per-population registry tying node
-  indices to an online-flag bytearray and the shared slab.
+  indices to an online-flag bytearray and the shared slab;
+* :func:`intern_id` -- the bounded table that makes each bot id one
+  shared bytes object, so a peer held in thousands of lists costs one
+  pointer per row rather than a private copy of its id.
 
 :class:`repro.botnets.base.PeerList` is the object-per-entry reference
 model of the same semantics: iteration order is dict insertion order,
@@ -35,15 +38,47 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from repro.net.address import subnet_key
 
+#: Intern table for bot ids: value -> the one shared bytes object.
+#: Ids are interned where they are kept (peer-list rows, bots' own ids,
+#: crawler reports, sensor log records), never per message.  Bounded
+#: above the paper's largest population (~200k Zeus bots); cleared
+#: wholesale if forged ids ever flood it, after which ids are shared
+#: again from their next insertion.  Bytes compare and hash by value,
+#: so interning is observationally identical.
+_ID_INTERN_MAX = 1 << 18
+_id_intern: Dict[bytes, bytes] = {}
+#: Id -> its shared big-endian integer, the key of the sorted index
+#: behind :meth:`SlabPeerList.closest`; same bound and clearing.
+_id_ints: Dict[bytes, int] = {}
+
+
+def intern_id(bot_id: bytes) -> bytes:
+    """The shared object equal to ``bot_id`` (``bot_id`` itself if new)."""
+    shared = _id_intern.get(bot_id)
+    if shared is None:
+        if len(_id_intern) >= _ID_INTERN_MAX:
+            _id_intern.clear()
+        shared = _id_intern[bot_id] = bot_id
+    return shared
+
+
+def _id_int(bot_id: bytes) -> int:
+    value = _id_ints.get(bot_id)
+    if value is None:
+        if len(_id_ints) >= _ID_INTERN_MAX:
+            _id_ints.clear()
+        value = _id_ints[bot_id] = int.from_bytes(bot_id, "big")
+    return value
+
 
 class PeerSlab:
     """Arena of peer-entry columns shared by a population's peer lists.
 
     Slots are recycled through a free list, so steady-state churn in
     peer lists allocates no new storage.  Columns grow by appending,
-    i.e. geometrically via list/array over-allocation.  Ids are stored
-    as bytes only: a list that ranks peers by XOR distance keeps its own
-    sorted integer index (:meth:`SlabPeerList.closest`).
+    i.e. geometrically via list/array over-allocation.  The ``ids``
+    column holds interned ids (:func:`intern_id`): every row of one bot,
+    in whichever list, points at the same bytes object.
     """
 
     __slots__ = ("ids", "endpoints", "last_seen", "failures", "goodcount", "_free")
@@ -160,8 +195,11 @@ class SlabPeerList:
     iteration-order contract every family relies on) plus the optional
     ``{subnet_key: slot}`` filter index.  Entries live in ``slab``: the
     population's shared :class:`PeerSlab`, or a private one when None.
-    Lists that answer XOR-closest lookups also keep their ids sorted as
-    integers (:meth:`closest`), built on the first lookup.
+    A new row's id is interned, so the dict key and the slab cell are
+    the one shared object.  Lists that answer XOR-closest lookups also
+    keep their ids sorted as integers (:meth:`closest`), built on the
+    first lookup; each id's integer is one object shared by every list
+    that holds the id.
     """
 
     __slots__ = (
@@ -186,8 +224,8 @@ class SlabPeerList:
         self._subnets: Optional[Dict[int, int]] = (
             {} if ip_filter_prefix is not None else None
         )
-        # Id integers in ascending order with their slots alongside;
-        # None until the first closest() call.
+        # Shared id integers (_id_int) in ascending order with their
+        # slots alongside; None until the first closest() call.
         self._sorted_ints: Optional[List[int]] = None
         self._sorted_slots: List[int] = []
 
@@ -303,7 +341,7 @@ class SlabPeerList:
 
     def _build_sorted_index(self) -> List[int]:
         pairs = sorted(
-            (int.from_bytes(bot_id, "big"), slot) for bot_id, slot in self._slots.items()
+            (_id_int(bot_id), slot) for bot_id, slot in self._slots.items()
         )
         self._sorted_ints = [value for value, _ in pairs]
         self._sorted_slots = [slot for _, slot in pairs]
@@ -316,7 +354,7 @@ class SlabPeerList:
         self._index_drop(slab.endpoints[slot].ip)
         ints = self._sorted_ints
         if ints is not None:
-            i = bisect_left(ints, int.from_bytes(bot_id, "big"))
+            i = bisect_left(ints, _id_int(bot_id))
             slots = self._sorted_slots
             while slots[i] != slot:  # equal integers (ids of other lengths)
                 i += 1
@@ -341,7 +379,8 @@ class SlabPeerList:
             self._subnets.pop(subnet_key(ip, self.ip_filter_prefix), None)
 
     def add(self, entry) -> bool:
-        """Insert or refresh ``entry`` (copied into the slab).
+        """Insert or refresh ``entry`` (copied into the slab, its id
+        interned).
 
         Returns True if the entry is present afterwards.  Rules, in
         order: an existing entry with the same bot id is refreshed
@@ -384,12 +423,13 @@ class SlabPeerList:
             if stalest_seen >= entry.last_seen:
                 return False
             self._drop(stalest_id, stalest_slot)
+        bot_id = intern_id(bot_id)
         slot = slab.alloc(bot_id, entry.endpoint, entry.last_seen, entry.failures, entry.goodcount)
         self._slots[bot_id] = slot
         self._index_add(slot, entry.endpoint.ip)
         ints = self._sorted_ints
         if ints is not None:
-            value = int.from_bytes(bot_id, "big")
+            value = _id_int(bot_id)
             i = bisect_left(ints, value)
             ints.insert(i, value)
             self._sorted_slots.insert(i, slot)

@@ -22,6 +22,7 @@ whole stack fast enough to encrypt millions of simulated messages.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict
 
 KEY_LEN = 20
@@ -81,6 +82,12 @@ class KeystreamCache:
     sizes never change an output byte.  The PRGA state is kept as
     ``bytes`` (one small object, not a list of 256 ints) and copied
     into a list only to resume.
+
+    At ``max_entries`` keys the oldest quarter, in insertion order, is
+    dropped: keys still in use (a Sality exchange awaiting its reply)
+    are the newest and survive.  One batch per quarter of the bound
+    keeps eviction amortised O(1); evicting one key at a time from the
+    front would rescan the deleted slots that pile up there.
     """
 
     #: Smallest first chunk of keystream computed per key.
@@ -95,7 +102,7 @@ class KeystreamCache:
         entry = self._cache.get(key)
         if entry is None:
             if len(self._cache) >= self.max_entries:
-                self._cache.clear()
+                self._evict_oldest()
             state, i, j = _rc4_init(key)
             length = self.INITIAL_LEN
             while length < need:
@@ -120,6 +127,11 @@ class KeystreamCache:
             entry[3] = i
             entry[4] = j
         return entry
+
+    def _evict_oldest(self) -> None:
+        cache = self._cache
+        for key in list(islice(cache, max(1, len(cache) // 4))):
+            del cache[key]
 
     def keystream_int(self, key: bytes) -> int:
         """Keystream as a big int (big-endian, MAX_MESSAGE_LEN bytes)."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, List, Optional, Tuple
 
+from repro.botnets.state import intern_id
 from repro.botnets.zeus import crypto
 from repro.net.transport import Endpoint
 from repro.sim.rng import random_bytes
@@ -218,18 +219,24 @@ def encode_peer_entries(entries: List[Tuple[bytes, Endpoint]]) -> bytes:
     return b"".join(parts)
 
 
-#: Intern table for decoded endpoints.  The same few thousand peers
-#: are re-decoded from every peer-list reply; reusing one Endpoint per
-#: (ip, port) skips dataclass construction/validation on the hot path
-#: and shares the cached ``str()`` form.  Endpoints compare by value,
-#: so interning is observationally identical.  Bounded like the
-#: keystream cache: cleared wholesale if churn ever floods it.
-_ENDPOINT_INTERN_MAX = 1 << 17
-_endpoint_intern: Dict[Tuple[int, int], Endpoint] = {}
+#: Intern table for decoded peer entries: the 26 wire bytes of an entry
+#: -> one shared ``(bot_id, Endpoint)`` tuple.  The same few thousand
+#: peers are re-decoded from every peer-list reply; a hit costs one
+#: slice and one lookup, with no id slice, no ``int.from_bytes`` and no
+#: Endpoint construction, and every list, report and log that keeps the
+#: entry shares its id (interned through :func:`intern_id`, so an id
+#: re-learned at a new address is still one object) and its Endpoint
+#: (with its cached ``str()``).  Ids and Endpoints compare by value, so
+#: interning is observationally identical.  Bounded: cleared wholesale if
+#: churn ever floods it, which costs only re-decoding.  Only valid
+#: entries are stored, so a zero port is rejected on every decode.
+_ENTRY_INTERN_MAX = 1 << 17
+_entry_intern: Dict[bytes, Tuple[bytes, Endpoint]] = {}
 
 
 def decode_peer_entries(payload: bytes) -> List[Tuple[bytes, Endpoint]]:
-    """Parse a PEER_LIST_REPLY / PROXY_REPLY payload."""
+    """Parse a PEER_LIST_REPLY / PROXY_REPLY payload into shared
+    (bot_id, endpoint) tuples, one object per distinct entry."""
     if not payload:
         raise ZeusDecodeError("empty peer entries payload")
     count = payload[0]
@@ -237,24 +244,20 @@ def decode_peer_entries(payload: bytes) -> List[Tuple[bytes, Endpoint]]:
     if len(payload) != expected:
         raise ZeusDecodeError("peer entries length mismatch")
     entries = []
-    offset = 1
-    intern = _endpoint_intern
-    from_bytes = int.from_bytes
-    for _ in range(count):
-        bot_id = payload[offset : offset + ID_LEN]
-        ip = from_bytes(payload[offset + ID_LEN : offset + ID_LEN + 4], "big")
-        port = from_bytes(payload[offset + ID_LEN + 4 : offset + ID_LEN + 6], "big")
-        if port == 0:
-            raise ZeusDecodeError("zero port in peer entry")
-        key = (ip, port)
-        endpoint = intern.get(key)
-        if endpoint is None:
-            if len(intern) >= _ENDPOINT_INTERN_MAX:
+    intern = _entry_intern
+    for offset in range(1, expected, PEER_ENTRY_LEN):
+        raw = payload[offset : offset + PEER_ENTRY_LEN]
+        entry = intern.get(raw)
+        if entry is None:
+            port = int.from_bytes(raw[ID_LEN + 4 :], "big")
+            if port == 0:
+                raise ZeusDecodeError("zero port in peer entry")
+            ip = int.from_bytes(raw[ID_LEN : ID_LEN + 4], "big")
+            entry = (intern_id(raw[:ID_LEN]), Endpoint(ip, port))
+            if len(intern) >= _ENTRY_INTERN_MAX:
                 intern.clear()
-            endpoint = Endpoint(ip, port)
-            intern[key] = endpoint
-        entries.append((bot_id, endpoint))
-        offset += PEER_ENTRY_LEN
+            intern[raw] = entry
+        entries.append(entry)
     return entries
 
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.sality.protocol import Command, SalityDecodeError
+from repro.botnets.state import intern_id
 from repro.botnets.zeus import protocol as zeus_protocol
 from repro.botnets.zeus.crypto import keystream_prefix
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError
@@ -343,8 +344,13 @@ class _CrawlerBase:
         via: Optional[bytes] = None,
         force_contact: bool = False,
     ) -> None:
-        """Learn about a peer; contact it if the policy allows."""
+        """Learn about a peer; contact it if the policy allows.
+
+        ``bot_id`` is interned, so the report's tables, the edges and
+        the targets share one object per bot.
+        """
         now = self.scheduler.now
+        bot_id = intern_id(bot_id)
         if via is not None:
             self.report.edges.add((via, bot_id))
         ips_before = len(self.report.first_seen_ip) if self._trace else 0

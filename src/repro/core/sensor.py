@@ -29,6 +29,7 @@ from repro.botnets.base import PeerEntry
 from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.sality.bot import SalityBot, SalityConfig
 from repro.botnets.sality.protocol import Command, SalityDecodeError
+from repro.botnets.state import intern_id
 from repro.botnets.zeus import protocol as zeus_protocol
 from repro.botnets.zeus.bot import ZeusBot, ZeusConfig
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError, ZeusMessage
@@ -61,9 +62,13 @@ class SensorDefectProfile:
 CLEAN_SENSOR = SensorDefectProfile()
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservedZeusMessage:
-    """One logged inbound Zeus message, as a sensor saw it."""
+    """One logged inbound Zeus message, as a sensor saw it.
+
+    ``source_id`` is interned; the per-message fields (session id,
+    padding, lookup key) are kept as received.
+    """
 
     time: float
     src_ip: int
@@ -79,7 +84,7 @@ class ObservedZeusMessage:
     lookup_key: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservedSalityMessage:
     """One logged inbound Sality packet, as a sensor saw it."""
 
@@ -241,7 +246,7 @@ class ZeusSensor(ZeusBot):
         base.ttl = decoded.ttl
         base.lop = len(decoded.padding)
         base.session_id = decoded.session_id
-        base.source_id = decoded.source_id
+        base.source_id = intern_id(decoded.source_id)
         base.padding = decoded.padding
         if decoded.msg_type == MessageType.PEER_LIST_REQUEST:
             base.lookup_key = decoded.payload

@@ -68,6 +68,30 @@ class TestKeystreamCache:
         cache.xor(bytes(20), data)  # evicts
         assert cache.xor(KEY, data) == first
 
+    def test_in_flight_key_survives_the_bound(self):
+        """At the bound the oldest keys go, not all: a key whose reply
+        is still due (the newest) keeps its keystream."""
+        cache = KeystreamCache(max_entries=8)
+        older = [bytes([n]) * 20 for n in range(1, 8)]
+        for key in older:
+            cache.xor(key, b"earlier exchange")
+        in_flight = b"\xaa" * 20
+        request = cache.xor(in_flight, b"request")  # the cache is now full
+        cache.xor(b"\xbb" * 20, b"next exchange")  # hits the bound
+        assert in_flight in cache._cache
+        assert older[0] not in cache._cache and older[-1] in cache._cache
+        assert len(cache._cache) <= 8
+        assert cache.xor(in_flight, request) == b"request"
+
+    def test_eviction_drops_a_quarter_in_insertion_order(self):
+        cache = KeystreamCache(max_entries=16)
+        keys = [n.to_bytes(20, "big") for n in range(40)]
+        for key in keys:
+            cache.xor(key, b"x")
+            assert len(cache._cache) <= 16
+        # The survivors are always the newest keys, oldest first.
+        assert list(cache._cache) == keys[-len(cache._cache):]
+
 
 class TestVisualLayer:
     def test_roundtrip(self):
@@ -120,7 +144,7 @@ class TestKeystreamCacheProperties:
     )
     def test_xor_matches_full_keystream(self, keys, needs, max_entries):
         """Whatever order of growing and shrinking needs, and however
-        often the cache is cleared, ``xor`` masks with the key's RC4
+        often keys are evicted, ``xor`` masks with the key's RC4
         keystream; resume state is stored as bytes, never a list."""
         cache = KeystreamCache(max_entries=max_entries)
         for which, size in needs:

@@ -1,11 +1,13 @@
 """Unit tests for the Zeus wire protocol codec."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.botnets import state
 from repro.botnets.zeus import crypto, protocol
 from repro.botnets.zeus.protocol import (
     MessageType,
@@ -231,3 +233,92 @@ class TestHeaderPreCheck:
         """Oversized input is decrypt_message's own ValueError, not a
         decode failure the pre-check may claim."""
         assert protocol.plausible_header(0xFFFFFFFF, crypto.MAX_MESSAGE_LEN + 1)
+
+
+def plain_decode_peer_entries(payload):
+    """The decoder without interning: a fresh id slice and Endpoint per
+    entry.  Oracle for ``protocol.decode_peer_entries``."""
+    if not payload:
+        raise ZeusDecodeError("empty peer entries payload")
+    count = payload[0]
+    if len(payload) != 1 + count * protocol.PEER_ENTRY_LEN:
+        raise ZeusDecodeError("peer entries length mismatch")
+    entries = []
+    for start in range(1, len(payload), protocol.PEER_ENTRY_LEN):
+        raw = payload[start : start + protocol.PEER_ENTRY_LEN]
+        port = int.from_bytes(raw[24:26], "big")
+        if port == 0:
+            raise ZeusDecodeError("zero port in peer entry")
+        entries.append((raw[:20], Endpoint(int.from_bytes(raw[20:24], "big"), port)))
+    return entries
+
+
+def _decode(decoder, payload):
+    try:
+        return decoder(payload)
+    except ZeusDecodeError as exc:
+        return ("raised", str(exc))
+
+
+# Few ids, ips and ports (zero included), so entries repeat within and
+# across payloads and the intern table both hits and fills.
+pool_entries = st.tuples(
+    st.sampled_from([bytes([n]) * 20 for n in range(4)]),
+    st.sampled_from([1, 0x19000001, 0xFFFFFFFF]),
+    st.sampled_from([0, 1, 9999]),
+).map(lambda e: e[0] + e[1].to_bytes(4, "big") + e[2].to_bytes(2, "big"))
+payloads = st.tuples(
+    st.lists(pool_entries, max_size=6),
+    st.integers(min_value=-2, max_value=2),  # count-byte error
+    st.sampled_from([b"", b"\x00", b"\x01" * 25]),  # trailing bytes
+).map(lambda p: bytes([max(0, len(p[0]) + p[1])]) + b"".join(p[0]) + p[2])
+
+
+class TestEntryInterning:
+    """``decode_peer_entries`` shares one tuple per distinct entry; it
+    must decode exactly as the plain decoder, across table clears."""
+
+    @given(
+        sequence=st.lists(st.one_of(payloads, st.just(b"")), min_size=1, max_size=12),
+        bound=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_decoder(self, sequence, bound):
+        with mock.patch.object(protocol, "_ENTRY_INTERN_MAX", bound), mock.patch.object(
+            protocol, "_entry_intern", {}
+        ):
+            for payload in sequence:
+                got = _decode(protocol.decode_peer_entries, payload)
+                assert got == _decode(plain_decode_peer_entries, payload)
+                assert len(protocol._entry_intern) <= bound
+                if isinstance(got, list):
+                    for bot_id, _ in got:
+                        assert bot_id is state.intern_id(bot_id)
+
+    def test_errors_match_plain_decoder(self):
+        entry = (bytes(20), Endpoint(parse_ip("25.0.0.1"), 2000))
+        good = protocol.encode_peer_entries([entry])
+        zero_port = good[:-2] + b"\x00\x00"
+        for payload in (b"", good[:-1], good + b"\x00", zero_port, zero_port):
+            with pytest.raises(ZeusDecodeError) as raised:
+                protocol.decode_peer_entries(payload)
+            assert _decode(plain_decode_peer_entries, payload) == ("raised", str(raised.value))
+
+    def test_one_object_per_entry(self):
+        entry = (random_id(random.Random(3)), Endpoint(parse_ip("25.0.0.7"), 4242))
+        payload = protocol.encode_peer_entries([entry, entry])
+        first = protocol.decode_peer_entries(payload)
+        second = protocol.decode_peer_entries(bytes(payload))
+        assert first == second == [entry, entry]
+        assert first[0] is first[1] is second[0]
+
+    def test_moved_peer_keeps_its_id_object(self):
+        bot_id = random_id(random.Random(4))
+        old = protocol.decode_peer_entries(
+            protocol.encode_peer_entries([(bot_id, Endpoint(parse_ip("25.0.0.7"), 4242))])
+        )
+        new = protocol.decode_peer_entries(
+            protocol.encode_peer_entries([(bot_id, Endpoint(parse_ip("26.0.0.9"), 4242))])
+        )
+        assert old[0] is not new[0]
+        assert old[0][0] is new[0][0]
